@@ -10,12 +10,11 @@ import sys
 
 import numpy as np
 
-from .codes import build_code, encode as encode_op, extract_info, insert_info
-from .fastscan import fast_scan_decode
+from .codes import build_code, butterfly_transform, encode as encode_op, extract_info, insert_info
+from .fastscan import build_decoder
 from .latency import DEFAULT_COST_MODEL, latency_table, schedule_latency
 from .product import PpcConfig, ProductPolarCode
-from .scan import ScanConfig, scan_decode
-from .sc import sc_decode
+from .scan import ScanConfig
 from .schedule import build_schedule, census_csv, node_census, parse_node_types
 from .sequences import load_reliability_sequence
 from .simulate import ChannelConfig, DecoderSpec, parse_ebn0_range, run_ppc_sim, run_sim
@@ -85,20 +84,12 @@ def _cmd_decode(args):
     if args.llrs is None and args.llr_file is None:
         raise ValueError("decode needs --llrs or --llr-file")
     llrs = _parse_floats(open(args.llr_file).read() if args.llr_file else args.llrs)
-    if args.decoder == "sc":
-        res = sc_decode(code, llrs)
-        u_hat, x_hat = res["u_hat"], res["x_hat"]
-    else:
-        cfg = ScanConfig(iterations=args.iters, arithmetic=args.arith)
-        if args.decoder == "scan":
-            out = scan_decode(code, llrs, cfg)
-        else:
-            out = fast_scan_decode(code, llrs, cfg,
-                                   enabled_types=parse_node_types(args.node_types))
-        u_hat, x_hat = out.u_hat, out.x_hat
+    cfg = ScanConfig(iterations=args.iters, arithmetic=args.arith)
+    decode = build_decoder(args.decoder, code, cfg, parse_node_types(args.node_types))
+    u_hat = decode(llrs).u_hat
     payload = {
         "u_hat": u_hat.astype(int).tolist(),
-        "x_hat": x_hat.astype(int).tolist(),
+        "x_hat": butterfly_transform(u_hat).astype(int).tolist(),
         "info": extract_info(code, u_hat).astype(int).tolist(),
     }
     _emit(json.dumps(payload) + "\n", args.out)

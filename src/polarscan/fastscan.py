@@ -1,55 +1,48 @@
-"""Fast-SCAN: schedule-driven decoding with special-node kernels.
+"""Fast-SCAN: the SCAN executor (scan.py) over a pruned schedule.
 
-Runs the same traversal and message memory as the full SCAN decoder, but
-consults a compiled DecodingSchedule: Internal descriptors perform the
-regular demand/feedback updates, leaf descriptors invoke their closed-form
-kernel on the node's current demand vector and write its feedback in one
-step. Output contract and iteration semantics match scan_decode; in
-min-sum mode the two decoders are bit-identical.
+build_schedule turns each maximal subtree whose frozen pattern matches an
+enabled special node into a leaf. Each leaf compiles to one op that maps
+the node's current demand vector through its closed-form kernel straight
+to its feedback. Output contract and iteration semantics match
+scan_decode; in min-sum mode the two decoders are bit-identical.
 
 A pruned subtree never computes its interior messages, so the leaf-level
 extrinsic lam[0] is reconstructed afterwards: a subtree only ever sees the
 demand vector its parent writes, so replaying a local SCAN on the logged
-per-iteration demands reproduces the interior evolution exactly.
+per-iteration demands reproduces the interior evolution exactly. The
+replay is the same executor, run over the unpruned subtree.
 """
 
 import numpy as np
 
 from . import kernels
-from .arithmetic import combiner
 from .codes import PolarCode
 from .scan import (
     MessageMemory,
     ScanConfig,
+    ScanDecoder,
     ScanOutput,
-    _node_update,
-    _traverse as _scan_traverse,
+    _compile,
+    _replay_leaves,
+    _run_ops,
     finalize,
     init_messages,
 )
+from .sc import sc_decode
 from .schedule import DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
-
-def _kernel_fn(kind: NodeType, arithmetic: str, sat: float, spc_forced: bool):
-    if kind is NodeType.RATE0:
-        return lambda lam: kernels.rate0_update(lam.shape, sat)
-    if kind is NodeType.RATE1:
-        return lambda lam: kernels.rate1_update(lam.shape, sat)
-    if kind is NodeType.REP:
-        return lambda lam: kernels.rep_update(lam, sat)
-    if kind is NodeType.SPC:
-        if spc_forced:
-            return lambda lam: kernels.spc_update_forced(lam, arithmetic, sat)
-        return lambda lam: kernels.spc_update(lam, arithmetic, sat)
-    if kind is NodeType.TYPE_I:
-        return lambda lam: kernels.type1_update(lam, sat)
-    if kind is NodeType.TYPE_III:
-        return lambda lam: kernels.type3_update(lam, arithmetic, sat)
-    if kind is NodeType.TYPE_II:
-        return lambda lam: kernels.type2_update(lam, arithmetic, sat)
-    if kind is NodeType.TYPE_IV:
-        return lambda lam: kernels.type4_update(lam, arithmetic, sat)
-    raise ValueError(f"no kernel for {kind}")
+# NodeType -> kernel(demand, arithmetic, sat). Kernels are looked up in their
+# module at call time, so a wrapper installed on polarscan.kernels sees them.
+_KERNELS = {
+    NodeType.RATE0: lambda lam, arithmetic, sat: kernels.rate0_update(lam.shape, sat),
+    NodeType.RATE1: lambda lam, arithmetic, sat: kernels.rate1_update(lam.shape, sat),
+    NodeType.REP: lambda lam, arithmetic, sat: kernels.rep_update(lam, sat),
+    NodeType.SPC: lambda lam, arithmetic, sat: kernels.spc_update(lam, arithmetic, sat),
+    NodeType.TYPE_I: lambda lam, arithmetic, sat: kernels.type1_update(lam, sat),
+    NodeType.TYPE_III: lambda lam, arithmetic, sat: kernels.type3_update(lam, arithmetic, sat),
+    NodeType.TYPE_II: lambda lam, arithmetic, sat: kernels.type2_update(lam, arithmetic, sat),
+    NodeType.TYPE_IV: lambda lam, arithmetic, sat: kernels.type4_update(lam, arithmetic, sat),
+}
 
 
 class FastScanDecoder:
@@ -71,64 +64,20 @@ class FastScanDecoder:
             raise ValueError(f"schedule built for N={self.schedule.N}, code has N={code.N}")
         self.leaf_extrinsic = leaf_extrinsic
         self.memory: MessageMemory | None = None
-        # stage-indexed leaf lookup and per-kind kernel closures
-        self._leaf_kind = {}
-        for d in self.schedule.nodes:
-            if d.kind is not NodeType.INTERNAL:
-                self._leaf_kind[(d.stage, d.index)] = d.kind
-        self._kernels = {
-            kind: _kernel_fn(kind, self.cfg.arithmetic, self.cfg.sat, spc_forced)
-            for kind in set(self._leaf_kind.values())
-        }
-
-    def _traverse(self, mem: MessageMemory, demand_log) -> None:
-        f = combiner(self.cfg.arithmetic)
-        sat = self.cfg.sat
-        lam, beta = mem.lam, mem.beta
-        leaf_kind = self._leaf_kind
-        kern = self._kernels
-
-        def rec(t, i):
-            kind = leaf_kind.get((t, i))
-            if kind is not None:
-                size = 1 << t
-                off = i * size
-                demand = lam[t][:, off:off + size]
-                if demand_log is not None and t > 0:
-                    demand_log[(t, i)].append(demand.copy())
-                beta[t][:, off:off + size] = kern[kind](demand)
-                return
-            _node_update(lam, beta, t, i, f, sat, rec)
-
-        rec(self.code.n, 0)
-
-    def _expand_leaf_extrinsic(self, mem: MessageMemory, demand_log) -> None:
-        """Replay each pruned subtree on its demand history to fill lam[0]."""
-        f = combiner(self.cfg.arithmetic)
-        sat = self.cfg.sat
-        B = mem.lam.shape[1]
-        for (t, i), demands in demand_log.items():
-            size = 1 << t
-            off = i * size
-            lam_loc = np.zeros((t + 1, B, size))
-            beta_loc = np.zeros((t + 1, B, size))
-            beta_loc[0] = mem.beta[0][:, off:off + size]
-            local = MessageMemory(lam=lam_loc, beta=beta_loc)
-            for demand in demands:
-                lam_loc[t] = demand
-                _scan_traverse(local, t, f, sat)
-            mem.lam[0][:, off:off + size] = lam_loc[0]
+        table = {**_KERNELS, NodeType.SPC: lambda lam, arithmetic, sat:
+                 kernels.spc_update_forced(lam, arithmetic, sat)} if spc_forced else _KERNELS
+        # stage-0 leaves emit no op: their feedback is the constant beta[0]
+        self._ops = _compile(code.n, {(d.stage, d.index): table[d.kind]
+                                      for d in self.schedule.leaves() if d.stage > 0})
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         squeeze = np.asarray(channel_llrs).ndim == 1
         mem = init_messages(self.code, channel_llrs, self.cfg.sat)
-        demand_log = None
-        if self.leaf_extrinsic:
-            demand_log = {key: [] for key in self._leaf_kind if key[0] > 0}
+        log = [] if self.leaf_extrinsic else None
         for _ in range(self.cfg.iterations):
-            self._traverse(mem, demand_log)
-        if demand_log:
-            self._expand_leaf_extrinsic(mem, demand_log)
+            _run_ops(self._ops, mem, self.cfg, log)
+        if log:
+            _replay_leaves(self._ops, mem, self.cfg, log)
         self.memory = mem
         return finalize(self.code, mem, self.cfg.sat, squeeze)
 
@@ -140,3 +89,22 @@ def fast_scan_decode(code: PolarCode, channel_llrs: np.ndarray,
                      spc_forced: bool = False) -> ScanOutput:
     """Functional wrapper around FastScanDecoder."""
     return FastScanDecoder(code, cfg, schedule, enabled_types, spc_forced).decode(channel_llrs)
+
+
+def build_decoder(kind: str, code: PolarCode, cfg: ScanConfig | None = None,
+                  enabled_types: frozenset = DEFAULT_TYPES, spc_forced: bool = False):
+    """Map a decoder kind ('sc', 'scan' or 'fast_scan') to a decode callable,
+    (batch, N) LLRs -> ScanOutput. SC decides hard, so its soft fields are
+    None. Callers read u_hat or root_extrinsic, so fast-SCAN skips the lam[0]
+    replay; construct FastScanDecoder directly for leaf extrinsics."""
+    if kind == "sc":
+        return lambda llrs: ScanOutput(leaf_extrinsic=None, root_extrinsic=None,
+                                       **sc_decode(code, llrs))
+    if kind == "scan":
+        dec = ScanDecoder(code, cfg)
+    elif kind == "fast_scan":
+        dec = FastScanDecoder(code, cfg, enabled_types=enabled_types,
+                              spc_forced=spc_forced, leaf_extrinsic=False)
+    else:
+        raise ValueError(f"unknown decoder kind {kind!r}")
+    return lambda llrs: dec.decode(llrs)

@@ -14,9 +14,8 @@ import numpy as np
 
 from .arithmetic import DEFAULT_SAT, combiner
 from .codes import PolarCode, butterfly_transform
-from .fastscan import FastScanDecoder
-from .scan import ScanConfig, ScanDecoder
-from .schedule import DEFAULT_TYPES
+from .fastscan import build_decoder
+from .scan import ScanConfig
 
 
 @dataclass(frozen=True)
@@ -106,16 +105,6 @@ def _valid_frames(ppc: ProductPolarCode, x_hat: np.ndarray) -> np.ndarray:
     return rows_ok & cols_ok
 
 
-def _component_decoder(code: PolarCode, cfg: PpcConfig, decoder: str):
-    scan_cfg = ScanConfig(iterations=cfg.inner_scan_iterations, arithmetic=cfg.arithmetic, sat=cfg.sat)
-    if decoder == "scan":
-        return ScanDecoder(code, scan_cfg)
-    if decoder == "fast_scan":
-        # only root extrinsics are exchanged; skip the lam[0] reconstruction
-        return FastScanDecoder(code, scan_cfg, enabled_types=DEFAULT_TYPES, leaf_extrinsic=False)
-    raise ValueError(f"unknown component decoder {decoder!r}")
-
-
 def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
                cfg: PpcConfig | None = None, decoder: str = "scan") -> PpcOutput:
     """Iterative row/column soft decoding with extrinsic exchange."""
@@ -126,9 +115,12 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     if llrs.shape[-2:] != ppc.shape:
         raise ValueError(f"LLR matrix shape {llrs.shape[-2:]} != {ppc.shape}")
     B, N_c, N_r = llrs.shape
+    if decoder == "sc":
+        raise ValueError("component decoders exchange soft output; 'sc' has none")
 
-    row_dec = _component_decoder(ppc.row_code, cfg, decoder)
-    col_dec = _component_decoder(ppc.col_code, cfg, decoder)
+    scan_cfg = ScanConfig(iterations=cfg.inner_scan_iterations, arithmetic=cfg.arithmetic, sat=cfg.sat)
+    row_dec = build_decoder(decoder, ppc.row_code, scan_cfg)
+    col_dec = build_decoder(decoder, ppc.col_code, scan_cfg)
 
     e_row = np.zeros_like(llrs)
     e_col = np.zeros_like(llrs)
@@ -141,10 +133,10 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
         if idx.size == 0:
             break
         rows_in = (llrs[idx] + cfg.extrinsic_scale * e_col[idx]).reshape(-1, N_r)
-        e_row[idx] = row_dec.decode(rows_in).root_extrinsic.reshape(-1, N_c, N_r)
+        e_row[idx] = row_dec(rows_in).root_extrinsic.reshape(-1, N_c, N_r)
         cols_in = np.swapaxes(llrs[idx] + cfg.extrinsic_scale * e_row[idx], -1, -2).reshape(-1, N_c)
         e_col[idx] = np.swapaxes(
-            col_dec.decode(cols_in).root_extrinsic.reshape(-1, N_r, N_c), -1, -2)
+            col_dec(cols_in).root_extrinsic.reshape(-1, N_r, N_c), -1, -2)
 
         combined = llrs[idx] + e_row[idx] + e_col[idx]
         hard = (combined < 0).astype(np.uint8)

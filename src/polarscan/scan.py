@@ -1,4 +1,4 @@
-"""Soft cancellation (SCAN) decoding over the full polarization tree.
+"""Soft cancellation (SCAN) decoding: one schedule executor for every tree.
 
 SCAN runs the successive-cancellation traversal but passes soft messages in
 both directions and keeps them between iterations. Messages live in two
@@ -20,9 +20,18 @@ children's beta:
 
 where f is box-plus (exact or min-sum) and + saturates. The decoder is
 batched: a leading frame axis is broadcast through every update.
+
+A tree compiles once into a flat tuple of ops in depth-first order, each
+with precomputed index tuples into lam and beta: left demand, right demand
+and feedback per internal node, one kernel op per pruned leaf. _run_ops
+executes one iteration in a plain loop. SCAN is this executor over the
+unpruned tree, whose stage-0 leaves emit no op as beta[0] never changes;
+fast-SCAN (fastscan.py) runs it over a pruned schedule.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +48,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if not (math.isfinite(self.sat) and self.sat > 0):
+            raise ValueError(f"sat must be finite and > 0, got {self.sat!r}")
         combiner(self.arithmetic)  # validates the mode name
 
 
@@ -61,6 +72,8 @@ class ScanOutput:
 def init_messages(code: PolarCode, channel_llrs: np.ndarray, sat: float = DEFAULT_SAT) -> MessageMemory:
     """Fresh memory: channel LLRs at stage n, frozen +SAT at stage 0, zeros elsewhere."""
     llrs = np.atleast_2d(np.asarray(channel_llrs, dtype=float))
+    if llrs.ndim > 2:
+        raise ValueError(f"LLRs must be (N,) or (batch, N), got shape {llrs.shape}")
     if llrs.shape[-1] != code.N:
         raise ValueError(f"LLR length {llrs.shape[-1]} != N={code.N}")
     B = llrs.shape[0]
@@ -71,32 +84,74 @@ def init_messages(code: PolarCode, channel_llrs: np.ndarray, sat: float = DEFAUL
     return MessageMemory(lam=lam, beta=beta)
 
 
-def _node_update(lam, beta, t, i, f, sat, recurse):
-    """One SCAN visit of node (t, i): demands down, feedback up."""
-    h = 1 << (t - 1)
-    off = i * (h << 1)
-    a = lam[t][:, off:off + h]
-    b = lam[t][:, off + h:off + 2 * h]
-    bl = beta[t - 1][:, off:off + h]
-    br = beta[t - 1][:, off + h:off + 2 * h]
-
-    lam[t - 1][:, off:off + h] = f(a, sat_add(b, br, sat), sat)
-    recurse(t - 1, 2 * i)
-    lam[t - 1][:, off + h:off + 2 * h] = sat_add(f(a, bl, sat), b, sat)
-    recurse(t - 1, 2 * i + 1)
-    beta[t][:, off:off + h] = f(bl, sat_add(b, br, sat), sat)
-    beta[t][:, off + h:off + 2 * h] = sat_add(br, f(a, bl, sat), sat)
+_LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
 
 
-def _traverse(mem: MessageMemory, n: int, f, sat) -> None:
-    lam, beta = mem.lam, mem.beta
+def _compile(n: int, leaves: dict) -> tuple:
+    """Flatten the depth-first visit of a stage-n tree into executor ops.
 
-    def rec(t, i):
-        if t == 0:
-            return
-        _node_update(lam, beta, t, i, f, sat, rec)
+    leaves maps (stage, index) of pruned leaves of stage >= 1 to kernels;
+    other nodes of stage >= 1 are internal and emit (op, a, b, l, r) for
+    _LEFT, _RIGHT and _FEEDBACK, where a, b index the node's halves and l, r
+    its children. A leaf emits (_LEAF, node, kernel, None, None).
+    """
+    ops, whole = [], slice(None)
 
-    rec(n, 0)
+    def visit(t, i):
+        lo, size = i << t, 1 << t
+        if (t, i) in leaves:
+            ops.append((_LEAF, (t, whole, slice(lo, lo + size)), leaves[(t, i)], None, None))
+        elif t > 0:
+            left, right = slice(lo, lo + size // 2), slice(lo + size // 2, lo + size)
+            idx = ((t, whole, left), (t, whole, right), (t - 1, whole, left), (t - 1, whole, right))
+            ops.append((_LEFT,) + idx)
+            visit(t - 1, 2 * i)
+            ops.append((_RIGHT,) + idx)
+            visit(t - 1, 2 * i + 1)
+            ops.append((_FEEDBACK,) + idx)
+
+    visit(n, 0)
+    return tuple(ops)
+
+
+@lru_cache(maxsize=None)
+def _unpruned_ops(n: int) -> tuple:
+    """Ops of the full stage-n tree; they depend on n alone, as stage 0 emits none."""
+    return _compile(n, {})
+
+
+def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list | None = None) -> None:
+    """One decoding iteration; kernel leaves append copies of their demands
+    to log in visit order, when one is given."""
+    lam, beta, sat, arithmetic = mem.lam, mem.beta, cfg.sat, cfg.arithmetic
+    f = combiner(arithmetic)
+    for op, a, b, l, r in ops:
+        if op == _LEFT:
+            lam[l] = f(lam[a], sat_add(lam[b], beta[r], sat), sat)
+        elif op == _RIGHT:
+            lam[r] = sat_add(f(lam[a], beta[l], sat), lam[b], sat)
+        elif op == _FEEDBACK:
+            beta[a] = f(beta[l], sat_add(lam[b], beta[r], sat), sat)
+            beta[b] = sat_add(beta[r], f(lam[a], beta[l], sat), sat)
+        else:   # kernel leaf: a is the node, b its kernel
+            demand = lam[a]
+            if log is not None:
+                log.append(demand.copy())
+            beta[a] = b(demand, arithmetic, sat)
+
+
+def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -> None:
+    """Fill lam[0] inside each kernel leaf of ops: run the unpruned subtree of
+    the leaf on the demands _run_ops logged for it, one per iteration."""
+    leaves = [a for op, a, *_ in ops if op == _LEAF]
+    B = mem.lam.shape[1]
+    for s, (t, _, span) in enumerate(leaves):
+        local = MessageMemory(lam=np.zeros((t + 1, B, 1 << t)), beta=np.zeros((t + 1, B, 1 << t)))
+        local.beta[0] = mem.beta[0][:, span]
+        for demand in log[s::len(leaves)]:
+            local.lam[t] = demand
+            _run_ops(_unpruned_ops(t), local, cfg)
+        mem.lam[0][:, span] = local.lam[0]
 
 
 def finalize(code: PolarCode, mem: MessageMemory, sat: float, squeeze: bool) -> ScanOutput:
@@ -118,14 +173,14 @@ class ScanDecoder:
         self.code = code
         self.cfg = cfg or ScanConfig()
         self.memory: MessageMemory | None = None
+        self._ops = _unpruned_ops(code.n)
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         squeeze = np.asarray(channel_llrs).ndim == 1
         cfg = self.cfg
         mem = init_messages(self.code, channel_llrs, cfg.sat)
-        f = combiner(cfg.arithmetic)
         for _ in range(cfg.iterations):
-            _traverse(mem, self.code.n, f, cfg.sat)
+            _run_ops(self._ops, mem, cfg)
         self.memory = mem
         return finalize(self.code, mem, cfg.sat, squeeze)
 

@@ -10,6 +10,7 @@ computed them. The resulting CSV is byte-identical for 1 or many workers.
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,10 +18,9 @@ import numpy as np
 
 from .channel import channel_llrs, modulate, noise_sigma
 from .codes import PolarCode, encode, extract_info, insert_info
-from .fastscan import FastScanDecoder
+from .fastscan import build_decoder
 from .product import PpcConfig, ProductPolarCode, ppc_decode, ppc_encode
-from .scan import ScanConfig, ScanDecoder
-from .sc import sc_decode
+from .scan import ScanConfig
 from .schedule import DEFAULT_TYPES
 
 CHUNK_FRAMES = 256
@@ -83,20 +83,9 @@ class SimResult:
         return buf.getvalue()
 
 
-def build_decoder(code: PolarCode, spec: DecoderSpec):
-    """Turn a DecoderSpec into a callable (B, N) LLRs -> u_hat bits."""
-    if spec.kind == "sc":
-        return lambda llrs: sc_decode(code, llrs)["u_hat"]
-    cfg = ScanConfig(iterations=spec.iterations, arithmetic=spec.arithmetic)
-    if spec.kind == "scan":
-        dec = ScanDecoder(code, cfg)
-    else:
-        dec = FastScanDecoder(code, cfg, enabled_types=spec.node_types, spc_forced=spec.spc_forced)
-    return lambda llrs: dec.decode(llrs).u_hat
-
-
 def _polar_runner(code: PolarCode, spec: DecoderSpec):
-    decoder = build_decoder(code, spec)
+    cfg = ScanConfig(iterations=spec.iterations, arithmetic=spec.arithmetic)
+    decoder = build_decoder(spec.kind, code, cfg, spec.node_types, spec.spc_forced)
 
     def run(point_idx, chunk_idx, ebn0_db, seed, frames):
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
@@ -104,7 +93,7 @@ def _polar_runner(code: PolarCode, spec: DecoderSpec):
         x = encode(code, insert_info(code, info))
         sigma = noise_sigma(ebn0_db, code.rate)
         y = modulate(x) + sigma * rng.standard_normal((frames, code.N))
-        u_hat = decoder(channel_llrs(y, sigma))
+        u_hat = decoder(channel_llrs(y, sigma)).u_hat
         bit_err = extract_info(code, u_hat) != info
         return frames, int(np.any(bit_err, axis=1).sum()), int(bit_err.sum())
 
@@ -147,7 +136,7 @@ def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: in
         raise ValueError("empty SNR list")
     if max_frames <= 0:
         raise ValueError("max_frames must be positive")
-    start = time.time()
+    start = time.perf_counter()
 
     pool = None
     if workers > 1:
@@ -195,7 +184,7 @@ def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: in
         if pool is not None:
             pool.close()
             pool.join()
-    result.wall_seconds = time.time() - start
+    result.wall_seconds = time.perf_counter() - start
     return result
 
 
@@ -221,15 +210,18 @@ def run_ppc_sim(ppc: ProductPolarCode, cfg: PpcConfig, channel: ChannelConfig,
 
 def parse_ebn0_range(text: str) -> tuple:
     """'a:b:step' inclusive range, or a comma list, or a single value."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("SNR range must be a:b:step")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("SNR step must be positive")
-        if b < a:
-            raise ValueError("SNR range end must not be below its start")
-        n = int(round((b - a) / step))
-        return tuple(round(a + i * step, 10) for i in range(n + 1) if a + i * step <= b + 1e-9)
-    return tuple(float(p) for p in text.split(","))
+    ranged = ":" in text
+    values = tuple(float(p) for p in text.split(":" if ranged else ","))
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"SNR values must be finite, got {text!r}")
+    if not ranged:
+        return values
+    if len(values) != 3:
+        raise ValueError("SNR range must be a:b:step")
+    a, b, step = values
+    if step <= 0:
+        raise ValueError("SNR step must be positive")
+    if b < a:
+        raise ValueError("SNR range end must not be below its start")
+    n = int(round((b - a) / step))
+    return tuple(round(a + i * step, 10) for i in range(n + 1) if a + i * step <= b + 1e-9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import code_from_mask
 from polarscan import (
     FastScanDecoder,
     KERNEL_TYPES,
@@ -12,6 +13,8 @@ from polarscan import (
     fast_scan_decode,
     scan_decode,
 )
+from polarscan.arithmetic import DEFAULT_SAT
+from reference_scan import ref_scan
 
 FIELDS = ("leaf_extrinsic", "root_extrinsic", "u_hat", "x_hat")
 
@@ -105,3 +108,16 @@ def test_single_frame_squeezes(rng):
     out = fast_scan_decode(code, llrs)
     assert out.u_hat.shape == (16,)
     assert out.leaf_extrinsic.shape == (16,)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: a -SAT demand on a frozen "
+                   "position cancels the recursion's +SAT, which the stateless Rate0 "
+                   "kernel cannot reproduce (README, Known limitations)")
+def test_negative_certainty_on_frozen_position_matches_scan():
+    # all-frozen (2,0) code: SCAN and the oracle feed back [0, SAT] (the -SAT
+    # channel value cancels the frozen prior), fast-SCAN's Rate0 root gives [SAT, SAT]
+    code = code_from_mask([True, True])
+    llrs = np.array([0.0, -DEFAULT_SAT])
+    ref = ref_scan([True, True], llrs.tolist())
+    np.testing.assert_array_equal(scan_decode(code, llrs).root_extrinsic, ref["beta_n"])
+    np.testing.assert_array_equal(fast_scan_decode(code, llrs).root_extrinsic, ref["beta_n"])

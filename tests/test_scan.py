@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import code_from_mask
 from polarscan import ScanConfig, ScanDecoder, build_code, init_messages, scan_decode
@@ -131,3 +132,15 @@ def test_tie_breaks_to_zero():
     code = build_code(4, 4)
     out = scan_decode(code, np.zeros(4))
     np.testing.assert_array_equal(out.x_hat, [0, 0, 0, 0])
+
+
+def test_config_and_input_validation():
+    for bad in ({"iterations": 0}, {"arithmetic": "sum"}, {"sat": 0}, {"sat": -1.0},
+                {"sat": float("inf")}, {"sat": float("nan")}):
+        with pytest.raises(ValueError):
+            ScanConfig(**bad)
+    code = build_code(8, 4)
+    with pytest.raises(ValueError, match="LLR length"):
+        init_messages(code, np.zeros(4))
+    with pytest.raises(ValueError, match=r"\(2, 3, 8\)"):
+        init_messages(code, np.zeros((2, 3, 8)))

@@ -104,3 +104,6 @@ def test_parse_ebn0_range():
         parse_ebn0_range("0:2:0")
     with pytest.raises(ValueError):
         parse_ebn0_range("a:b")
+    for text in ("nan", "1,inf", "-inf", "0:nan:1", "0:inf:1"):
+        with pytest.raises(ValueError):
+            parse_ebn0_range(text)
