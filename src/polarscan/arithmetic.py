@@ -1,8 +1,10 @@
 """Saturated LLR arithmetic: clamping, saturating addition, box-plus.
 
-All soft values live in [-SAT, +SAT]. +SAT stands in for infinity (a bit
-known to be 0 with certainty), -SAT for a certain 1. The conventions here
-are load-bearing for the rest of the package:
+All soft values live in [-SAT, +SAT], SAT = DEFAULT_SAT = 1e6. +SAT stands
+in for infinity (a bit known to be 0 with certainty), -SAT for a certain 1.
+SAT is a fixed constant that only represents certainty, not a decoding
+parameter. The conventions here are load-bearing for the rest of the
+package:
 
 * saturating addition is absorbing at +-SAT (finite + SAT == SAT), and
   +SAT + -SAT == 0 (conflicting certainties cancel to an erasure);
@@ -20,9 +22,9 @@ import numpy as np
 DEFAULT_SAT = 1.0e6
 
 
-def clamp(x, sat=DEFAULT_SAT):
-    """Clip values into [-sat, +sat]."""
-    return np.clip(x, -sat, sat)
+def clamp(x):
+    """Clip values into [-SAT, +SAT]."""
+    return np.clip(x, -DEFAULT_SAT, DEFAULT_SAT)
 
 
 def hard_sign(x):
@@ -31,19 +33,19 @@ def hard_sign(x):
     return np.where(x < 0, -1.0, 1.0)
 
 
-def sat_add(a, b, sat=DEFAULT_SAT):
-    """Saturating addition with absorbing +-sat.
+def sat_add(a, b):
+    """Saturating addition with absorbing +-SAT.
 
-    finite + sat -> sat, finite + -sat -> -sat, sat + -sat -> 0.
-    Plain sums are clipped into [-sat, sat].
+    finite + SAT -> SAT, finite + -SAT -> -SAT, SAT + -SAT -> 0.
+    Plain sums are clipped into [-SAT, SAT].
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.clip(a + b, -sat, sat)
-    a_top, a_bot = a == sat, a == -sat
-    b_top, b_bot = b == sat, b == -sat
-    out = np.where(a_top | b_top, sat, out)
-    out = np.where(a_bot | b_bot, -sat, out)
+    out = np.clip(a + b, -DEFAULT_SAT, DEFAULT_SAT)
+    a_top, a_bot = a == DEFAULT_SAT, a == -DEFAULT_SAT
+    b_top, b_bot = b == DEFAULT_SAT, b == -DEFAULT_SAT
+    out = np.where(a_top | b_top, DEFAULT_SAT, out)
+    out = np.where(a_bot | b_bot, -DEFAULT_SAT, out)
     out = np.where((a_top & b_bot) | (a_bot & b_top), 0.0, out)
     return out
 
@@ -51,39 +53,40 @@ def sat_add(a, b, sat=DEFAULT_SAT):
 def boxplus_minsum(a, b):
     """Min-sum check-node combination: sign(a)*sign(b)*min(|a|,|b|).
 
-    Needs no saturation special case: min(|x|, sat) = |x| already treats
-    +-sat as an identity.
+    Needs no saturation special case: min(|x|, SAT) = |x| already treats
+    +-SAT as an identity.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return hard_sign(a) * hard_sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
-def boxplus(a, b, sat=DEFAULT_SAT):
+def boxplus(a, b):
     """Exact check-node combination log((1 + e^(a+b)) / (e^a + e^b)).
 
     Evaluated in the numerically stable form
         sign(a)*sign(b)*min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|)
     and clamped. Saturated operands short-circuit to the exact identity
-    boxplus(a, +-sat) = +-a so that certainty propagates without rounding.
+    boxplus(a, +-SAT) = +-a so that certainty propagates without rounding.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(over="ignore"):
         core = boxplus_minsum(a, b) + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out = np.clip(core, -sat, sat)
-    a_sat = np.abs(a) == sat
-    b_sat = np.abs(b) == sat
+    out = np.clip(core, -DEFAULT_SAT, DEFAULT_SAT)
+    a_sat = np.abs(a) == DEFAULT_SAT
+    b_sat = np.abs(b) == DEFAULT_SAT
     out = np.where(b_sat, hard_sign(b) * a, out)
     out = np.where(a_sat, hard_sign(a) * b, out)
-    out = np.where(a_sat & b_sat, hard_sign(a) * hard_sign(b) * sat, out)
+    out = np.where(a_sat & b_sat, hard_sign(a) * hard_sign(b) * DEFAULT_SAT, out)
     return out
 
 
 def combiner(arithmetic):
-    """Return the check-node function for an arithmetic mode name."""
+    """Return the check-node function for an arithmetic mode name; the only
+    place a mode name becomes a box-plus function."""
     if arithmetic == "minsum":
-        return lambda a, b, sat=DEFAULT_SAT: boxplus_minsum(a, b)
+        return boxplus_minsum
     if arithmetic == "exact":
         return boxplus
     raise ValueError(f"unknown arithmetic mode {arithmetic!r} (want 'exact' or 'minsum')")

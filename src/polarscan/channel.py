@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .arithmetic import DEFAULT_SAT, clamp
+from .arithmetic import clamp
 
 
 def modulate(bits) -> np.ndarray:
@@ -17,6 +17,6 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
 
 
-def channel_llrs(received, sigma: float, sat: float = DEFAULT_SAT) -> np.ndarray:
-    """LLR of received BPSK samples: 2y / sigma^2, clamped."""
-    return clamp(2.0 * np.asarray(received, dtype=float) / (sigma * sigma), sat)
+def channel_llrs(received, sigma: float) -> np.ndarray:
+    """LLR of received BPSK samples: 2y / sigma^2, clamped to [-SAT, SAT]."""
+    return clamp(2.0 * np.asarray(received, dtype=float) / (sigma * sigma))

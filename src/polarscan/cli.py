@@ -152,9 +152,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_ppc_simulate(args):
-    seq = load_reliability_sequence(args.seq_file) if args.seq_file else None
-    component = build_code(args.n, args.k, method=args.method, seq=seq,
-                           design_snr_db=args.design_snr)
+    component = _build_code(args)
     ppc = ProductPolarCode(row_code=component, col_code=component)
     cfg = PpcConfig(half_iteration_pairs=args.pairs, inner_scan_iterations=args.iters,
                     arithmetic=args.arith)

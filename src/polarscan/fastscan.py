@@ -31,17 +31,17 @@ from .scan import (
 from .sc import sc_decode
 from .schedule import DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
-# NodeType -> kernel(demand, arithmetic, sat). Kernels are looked up in their
+# NodeType -> kernel(demand, arithmetic). Kernels are looked up in their
 # module at call time, so a wrapper installed on polarscan.kernels sees them.
 _KERNELS = {
-    NodeType.RATE0: lambda lam, arithmetic, sat: kernels.rate0_update(lam.shape, sat),
-    NodeType.RATE1: lambda lam, arithmetic, sat: kernels.rate1_update(lam.shape, sat),
-    NodeType.REP: lambda lam, arithmetic, sat: kernels.rep_update(lam, sat),
-    NodeType.SPC: lambda lam, arithmetic, sat: kernels.spc_update(lam, arithmetic, sat),
-    NodeType.TYPE_I: lambda lam, arithmetic, sat: kernels.type1_update(lam, sat),
-    NodeType.TYPE_III: lambda lam, arithmetic, sat: kernels.type3_update(lam, arithmetic, sat),
-    NodeType.TYPE_II: lambda lam, arithmetic, sat: kernels.type2_update(lam, arithmetic, sat),
-    NodeType.TYPE_IV: lambda lam, arithmetic, sat: kernels.type4_update(lam, arithmetic, sat),
+    NodeType.RATE0: lambda lam, arithmetic: kernels.rate0_update(lam.shape),
+    NodeType.RATE1: lambda lam, arithmetic: kernels.rate1_update(lam.shape),
+    NodeType.REP: lambda lam, arithmetic: kernels.rep_update(lam),
+    NodeType.SPC: lambda lam, arithmetic: kernels.spc_update(lam, arithmetic),
+    NodeType.TYPE_I: lambda lam, arithmetic: kernels.type1_update(lam),
+    NodeType.TYPE_III: lambda lam, arithmetic: kernels.type3_update(lam, arithmetic),
+    NodeType.TYPE_II: lambda lam, arithmetic: kernels.type2_update(lam, arithmetic),
+    NodeType.TYPE_IV: lambda lam, arithmetic: kernels.type4_update(lam, arithmetic),
 }
 
 
@@ -64,22 +64,22 @@ class FastScanDecoder:
             raise ValueError(f"schedule built for N={self.schedule.N}, code has N={code.N}")
         self.leaf_extrinsic = leaf_extrinsic
         self.memory: MessageMemory | None = None
-        table = {**_KERNELS, NodeType.SPC: lambda lam, arithmetic, sat:
-                 kernels.spc_update_forced(lam, arithmetic, sat)} if spc_forced else _KERNELS
+        table = {**_KERNELS, NodeType.SPC: lambda lam, arithmetic:
+                 kernels.spc_update_forced(lam, arithmetic)} if spc_forced else _KERNELS
         # stage-0 leaves emit no op: their feedback is the constant beta[0]
         self._ops = _compile(code.n, {(d.stage, d.index): table[d.kind]
                                       for d in self.schedule.leaves() if d.stage > 0})
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         squeeze = np.asarray(channel_llrs).ndim == 1
-        mem = init_messages(self.code, channel_llrs, self.cfg.sat)
+        mem = init_messages(self.code, channel_llrs)
         log = [] if self.leaf_extrinsic else None
         for _ in range(self.cfg.iterations):
             _run_ops(self._ops, mem, self.cfg, log)
         if log:
             _replay_leaves(self._ops, mem, self.cfg, log)
         self.memory = mem
-        return finalize(self.code, mem, self.cfg.sat, squeeze)
+        return finalize(self.code, mem, squeeze)
 
 
 def fast_scan_decode(code: PolarCode, channel_llrs: np.ndarray,

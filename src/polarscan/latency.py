@@ -10,7 +10,7 @@ exactly the flat-SCAN figure 6(N-1).
 
 from dataclasses import dataclass
 
-from .schedule import CONSTANT_TYPES, DecodingSchedule, NodeType
+from .schedule import CONSTANT_TYPES, DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,6 @@ def ppc_latency(row_cycles: int, col_cycles: int, half_iteration_pairs: int) -> 
 
 def latency_table(codes, enabled_types=None, model: CostModel = DEFAULT_COST_MODEL):
     """Rows of (label, scan_cycles, fast_cycles, gain_percent) for PolarCodes."""
-    from .schedule import DEFAULT_TYPES, build_schedule
-
     types = DEFAULT_TYPES if enabled_types is None else enabled_types
     rows = []
     for code in codes:

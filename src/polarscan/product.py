@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import DEFAULT_SAT, combiner
+from .arithmetic import combiner
 from .codes import PolarCode, butterfly_transform
 from .fastscan import build_decoder
 from .scan import ScanConfig
@@ -51,7 +51,6 @@ class PpcConfig:
     inner_scan_iterations: int = 1
     extrinsic_scale: float = 1.0
     arithmetic: str = "minsum"
-    sat: float = DEFAULT_SAT
 
     def __post_init__(self):
         if self.half_iteration_pairs < 1:
@@ -99,7 +98,7 @@ def _matrix_info(ppc: ProductPolarCode, x_hat: np.ndarray) -> np.ndarray:
 def _valid_frames(ppc: ProductPolarCode, x_hat: np.ndarray) -> np.ndarray:
     """Per-frame check that every row and column re-encodes cleanly."""
     u_rows = butterfly_transform(x_hat)
-    u_cols = np.swapaxes(butterfly_transform(np.swapaxes(x_hat, -1, -2)), -1, -2)
+    u_cols = _transform_columns(x_hat)
     rows_ok = ~np.any(u_rows[:, :, ppc.row_code.frozen_mask], axis=(1, 2))
     cols_ok = ~np.any(u_cols[:, ppc.col_code.frozen_mask, :], axis=(1, 2))
     return rows_ok & cols_ok
@@ -118,7 +117,7 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     if decoder == "sc":
         raise ValueError("component decoders exchange soft output; 'sc' has none")
 
-    scan_cfg = ScanConfig(iterations=cfg.inner_scan_iterations, arithmetic=cfg.arithmetic, sat=cfg.sat)
+    scan_cfg = ScanConfig(iterations=cfg.inner_scan_iterations, arithmetic=cfg.arithmetic)
     row_dec = build_decoder(decoder, ppc.row_code, scan_cfg)
     col_dec = build_decoder(decoder, ppc.col_code, scan_cfg)
 

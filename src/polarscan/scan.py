@@ -29,7 +29,6 @@ unpruned tree, whose stage-0 leaves emit no op as beta[0] never changes;
 fast-SCAN (fastscan.py) runs it over a pruned schedule.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,13 +42,10 @@ from .codes import PolarCode, butterfly_transform
 class ScanConfig:
     iterations: int = 1
     arithmetic: str = "minsum"   # 'exact' or 'minsum'
-    sat: float = DEFAULT_SAT
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not (math.isfinite(self.sat) and self.sat > 0):
-            raise ValueError(f"sat must be finite and > 0, got {self.sat!r}")
         combiner(self.arithmetic)  # validates the mode name
 
 
@@ -69,18 +65,21 @@ class ScanOutput:
     x_hat: np.ndarray
 
 
-def init_messages(code: PolarCode, channel_llrs: np.ndarray, sat: float = DEFAULT_SAT) -> MessageMemory:
+def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
     """Fresh memory: channel LLRs at stage n, frozen +SAT at stage 0, zeros elsewhere."""
     llrs = np.atleast_2d(np.asarray(channel_llrs, dtype=float))
     if llrs.ndim > 2:
         raise ValueError(f"LLRs must be (N,) or (batch, N), got shape {llrs.shape}")
     if llrs.shape[-1] != code.N:
         raise ValueError(f"LLR length {llrs.shape[-1]} != N={code.N}")
+    nan = np.argwhere(np.isnan(llrs))
+    if nan.size:
+        raise ValueError(f"channel LLR is NaN at (frame, position) {tuple(nan[0].tolist())}")
     B = llrs.shape[0]
     lam = np.zeros((code.n + 1, B, code.N))
     beta = np.zeros((code.n + 1, B, code.N))
-    lam[code.n] = clamp(llrs, sat)
-    beta[0][:, code.frozen_mask] = sat
+    lam[code.n] = clamp(llrs)
+    beta[0][:, code.frozen_mask] = DEFAULT_SAT
     return MessageMemory(lam=lam, beta=beta)
 
 
@@ -123,21 +122,21 @@ def _unpruned_ops(n: int) -> tuple:
 def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list | None = None) -> None:
     """One decoding iteration; kernel leaves append copies of their demands
     to log in visit order, when one is given."""
-    lam, beta, sat, arithmetic = mem.lam, mem.beta, cfg.sat, cfg.arithmetic
+    lam, beta, arithmetic = mem.lam, mem.beta, cfg.arithmetic
     f = combiner(arithmetic)
     for op, a, b, l, r in ops:
         if op == _LEFT:
-            lam[l] = f(lam[a], sat_add(lam[b], beta[r], sat), sat)
+            lam[l] = f(lam[a], sat_add(lam[b], beta[r]))
         elif op == _RIGHT:
-            lam[r] = sat_add(f(lam[a], beta[l], sat), lam[b], sat)
+            lam[r] = sat_add(f(lam[a], beta[l]), lam[b])
         elif op == _FEEDBACK:
-            beta[a] = f(beta[l], sat_add(lam[b], beta[r], sat), sat)
-            beta[b] = sat_add(beta[r], f(lam[a], beta[l], sat), sat)
+            beta[a] = f(beta[l], sat_add(lam[b], beta[r]))
+            beta[b] = sat_add(beta[r], f(lam[a], beta[l]))
         else:   # kernel leaf: a is the node, b its kernel
             demand = lam[a]
             if log is not None:
                 log.append(demand.copy())
-            beta[a] = b(demand, arithmetic, sat)
+            beta[a] = b(demand, arithmetic)
 
 
 def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -> None:
@@ -154,9 +153,9 @@ def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -
         mem.lam[0][:, span] = local.lam[0]
 
 
-def finalize(code: PolarCode, mem: MessageMemory, sat: float, squeeze: bool) -> ScanOutput:
+def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool) -> ScanOutput:
     """Hard decisions from channel + root feedback; ties decide 0."""
-    ap = sat_add(mem.lam[code.n], mem.beta[code.n], sat)
+    ap = sat_add(mem.lam[code.n], mem.beta[code.n])
     x_hat = (ap < 0).astype(np.uint8)
     u_hat = butterfly_transform(x_hat)
     leaf = mem.lam[0].copy()
@@ -178,11 +177,11 @@ class ScanDecoder:
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         squeeze = np.asarray(channel_llrs).ndim == 1
         cfg = self.cfg
-        mem = init_messages(self.code, channel_llrs, cfg.sat)
+        mem = init_messages(self.code, channel_llrs)
         for _ in range(cfg.iterations):
             _run_ops(self._ops, mem, cfg)
         self.memory = mem
-        return finalize(self.code, mem, cfg.sat, squeeze)
+        return finalize(self.code, mem, squeeze)
 
 
 def scan_decode(code: PolarCode, channel_llrs: np.ndarray, cfg: ScanConfig | None = None) -> ScanOutput:

@@ -43,20 +43,17 @@ def _validate(order: np.ndarray) -> None:
 
 
 def load_reliability_sequence(source) -> ReliabilitySequence:
-    """Parse a reliability sequence from a path, file object, bytes, or str.
+    """Parse a reliability sequence from a path (str or Path), or from content
+    given as bytes or a file object.
 
     Format: whitespace/newline separated integers; lines starting with '#'
     are comments. The integers must form a permutation of {0..L-1} with L a
     power of two.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, (str, Path)):
         text = Path(source).read_text()
-    elif isinstance(source, bytes):
-        text = source.decode()
-    elif isinstance(source, str):
-        text = source
     else:
-        data = source.read()
+        data = source if isinstance(source, bytes) else source.read()
         text = data.decode() if isinstance(data, bytes) else data
     tokens = []
     for line in text.splitlines():
@@ -78,8 +75,8 @@ def default_sequence() -> ReliabilitySequence:
     """The shipped 1024-entry 5G NR universal sequence (cached)."""
     global _default_cache
     if _default_cache is None:
-        text = resources.files(__package__).joinpath("data", _ASSET_NAME).read_text()
-        _default_cache = load_reliability_sequence(text)
+        data = resources.files(__package__).joinpath("data", _ASSET_NAME).read_bytes()
+        _default_cache = load_reliability_sequence(data)
     return _default_cache
 
 

@@ -84,9 +84,9 @@ def test_clamp_and_hard_sign():
 
 def test_combiner_dispatch():
     f = combiner("minsum")
-    assert float(f(2.0, -3.0, SAT)) == -2.0
+    assert float(f(2.0, -3.0)) == -2.0
     g = combiner("exact")
-    assert abs(float(g(2.0, 3.0, SAT)) - 1.6934537) < 1e-6
+    assert abs(float(g(2.0, 3.0)) - 1.6934537) < 1e-6
     try:
         combiner("fixed")
         assert False, "expected ValueError"

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,10 @@ def test_sequence_validation(tmp_path):
     p.write_text("0 1 2\n")  # not a power of two
     with pytest.raises(ValueError):
         load_reliability_sequence(str(p))
+
+    # bytes and file objects are content, never a path
+    np.testing.assert_array_equal(load_reliability_sequence(b"0 1 2 3").universal_order, [0, 1, 2, 3])
+    np.testing.assert_array_equal(load_reliability_sequence(io.StringIO("1 0\n")).universal_order, [1, 0])
 
 
 def test_build_code_validation():

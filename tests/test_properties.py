@@ -6,15 +6,21 @@ magnitude ties, +SAT certainty and tiny magnitudes. In min-sum both
 decoders must agree bit for bit with tests/reference_scan.py on all four
 outputs. -SAT inputs are checked for SCAN alone: fast-SCAN's Rate0 kernel
 cannot follow the recursion there (see test_fastscan.py).
+
+Each node kernel is also checked on its own against a one-iteration SCAN
+over its frozen pattern, and every compiled schedule against the
+partition and maximality rules of schedule.py.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import code_from_mask
 from polarscan import FastScanDecoder, ScanConfig, ScanDecoder
 from polarscan.arithmetic import DEFAULT_SAT
-from polarscan.schedule import CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES
+from polarscan.fastscan import _KERNELS
+from polarscan.schedule import CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES, NodeType, build_schedule, classify
 from reference_scan import ref_scan
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -29,9 +35,9 @@ LLR_VALUES = st.one_of(
 
 
 @st.composite
-def cases(draw, values):
-    """(mask, (frames, N) LLRs, iterations). The mask is a row of equal blocks,
-    each random bits or F^j I^(size-j): every special node has that shape."""
+def masks(draw):
+    """A frozen mask of length 2..64: a row of equal blocks, each random bits
+    or F^j I^(size-j), the shape of every special node."""
     N = 1 << draw(st.integers(1, 6))
     size = 1 << draw(st.integers(0, N.bit_length() - 1))
     mask = []
@@ -41,10 +47,22 @@ def cases(draw, values):
             mask += [True] * j + [False] * (size - j)
         else:
             mask += draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.array(mask, dtype=bool)
+
+
+@st.composite
+def llr_batches(draw, N, values):
+    """(frames, N) LLRs, 1 to 3 frames."""
     frames = draw(st.integers(1, 3))
-    llrs = draw(st.lists(st.lists(values, min_size=N, max_size=N),
-                         min_size=frames, max_size=frames))
-    return np.array(mask, dtype=bool), np.array(llrs), draw(st.integers(1, 3))
+    return np.array(draw(st.lists(st.lists(values, min_size=N, max_size=N),
+                                  min_size=frames, max_size=frames)))
+
+
+@st.composite
+def cases(draw, values):
+    """(mask, (frames, N) LLRs, iterations)."""
+    mask = draw(masks())
+    return mask, draw(llr_batches(mask.size, values)), draw(st.integers(1, 3))
 
 
 def assert_matches_oracle(out, mask, llrs, iterations):
@@ -74,3 +92,56 @@ def test_scan_matches_oracle_with_negative_certainty(case):
     cfg = ScanConfig(iterations=iterations, arithmetic="minsum")
     out = ScanDecoder(code_from_mask(mask), cfg).decode(llrs)
     assert_matches_oracle(out, mask, llrs, iterations)
+
+
+# Leading frozen positions of each kernel's pattern F^j I^(size-j).
+FROZEN_PREFIX = {
+    NodeType.RATE0: lambda size: size,
+    NodeType.RATE1: lambda size: 0,
+    NodeType.REP: lambda size: size - 1,
+    NodeType.SPC: lambda size: 1,
+    NodeType.TYPE_I: lambda size: size - 2,
+    NodeType.TYPE_III: lambda size: 2,
+    NodeType.TYPE_II: lambda size: size - 3,
+    NodeType.TYPE_IV: lambda size: 3,
+}
+
+
+def pattern(kind, size):
+    j = FROZEN_PREFIX[kind](size)
+    return [True] * j + [False] * (size - j)
+
+
+@pytest.mark.parametrize("arithmetic", ["minsum", "exact"])
+@pytest.mark.parametrize("kind", sorted(KERNEL_TYPES, key=lambda k: k.value), ids=lambda k: k.value)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_one_scan_iteration_over_its_pattern(kind, arithmetic, data):
+    size = 1 << data.draw(st.integers(3 if kind is NodeType.TYPE_IV else 2, 5))   # 4..32
+    lam = data.draw(llr_batches(size, LLR_VALUES))
+    got = _KERNELS[kind](lam, arithmetic)
+    code = code_from_mask(pattern(kind, size))
+    want = ScanDecoder(code, ScanConfig(iterations=1, arithmetic=arithmetic)).decode(lam).root_extrinsic
+    if arithmetic == "minsum":
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want)))) <= 1e-9
+
+
+@SETTINGS
+@given(masks(), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
+def test_schedule_is_a_maximal_partition(mask, types):
+    schedule = build_schedule(code_from_mask(mask), types)
+    pending = [(mask.size.bit_length() - 1, 0)]   # depth-first order: next node on top
+    for d in schedule.nodes:
+        assert (d.stage, d.index) == pending.pop()
+        span = mask[d.offset:d.offset + d.size]
+        assert d.kind is classify(span, schedule.enabled_types)   # internal: no enabled pattern fits
+        if d.kind is NodeType.INTERNAL:
+            pending += [(d.stage - 1, 2 * d.index + 1), (d.stage - 1, 2 * d.index)]
+        else:
+            assert d.kind in types | CONSTANT_TYPES
+            assert span.tolist() == pattern(d.kind, d.size)
+    assert not pending
+    leaves = [np.arange(d.offset, d.offset + d.size) for d in schedule.leaves()]
+    np.testing.assert_array_equal(np.concatenate(leaves), np.arange(mask.size))

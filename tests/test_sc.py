@@ -72,6 +72,8 @@ def test_length_mismatch():
     code = build_code(8, 4)
     with pytest.raises(ValueError):
         sc_decode(code, np.zeros(4))
+    with pytest.raises(ValueError, match="NaN"):
+        sc_decode(code, [np.nan, 1, -1, 2, -2, 1, 1, -3])
 
 
 def test_latency_formula():

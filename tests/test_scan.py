@@ -135,8 +135,7 @@ def test_tie_breaks_to_zero():
 
 
 def test_config_and_input_validation():
-    for bad in ({"iterations": 0}, {"arithmetic": "sum"}, {"sat": 0}, {"sat": -1.0},
-                {"sat": float("inf")}, {"sat": float("nan")}):
+    for bad in ({"iterations": 0}, {"arithmetic": "sum"}):
         with pytest.raises(ValueError):
             ScanConfig(**bad)
     code = build_code(8, 4)
@@ -144,3 +143,5 @@ def test_config_and_input_validation():
         init_messages(code, np.zeros(4))
     with pytest.raises(ValueError, match=r"\(2, 3, 8\)"):
         init_messages(code, np.zeros((2, 3, 8)))
+    with pytest.raises(ValueError, match="NaN"):
+        init_messages(code, [np.nan, 1, -1, 2, -2, 1, 1, -3])
