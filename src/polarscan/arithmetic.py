@@ -41,12 +41,15 @@ def sat_add(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.clip(a + b, -DEFAULT_SAT, DEFAULT_SAT)
-    a_top, a_bot = a == DEFAULT_SAT, a == -DEFAULT_SAT
-    b_top, b_bot = b == DEFAULT_SAT, b == -DEFAULT_SAT
-    out = np.where(a_top | b_top, DEFAULT_SAT, out)
-    out = np.where(a_bot | b_bot, -DEFAULT_SAT, out)
-    out = np.where((a_top & b_bot) | (a_bot & b_top), 0.0, out)
+    out = np.asarray(np.add(a, b))   # a 0-d sum comes back a scalar, which out= rejects
+    np.clip(out, -DEFAULT_SAT, DEFAULT_SAT, out=out)
+    # `|`, not `|=`: either operand may be smaller than the broadcast sum
+    top = (a == DEFAULT_SAT) | (b == DEFAULT_SAT)
+    bot = (a == -DEFAULT_SAT) | (b == -DEFAULT_SAT)
+    np.copyto(out, DEFAULT_SAT, where=top)
+    np.copyto(out, -DEFAULT_SAT, where=bot)
+    top &= bot
+    np.copyto(out, 0.0, where=top)
     return out
 
 

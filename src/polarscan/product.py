@@ -109,10 +109,15 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     """Iterative row/column soft decoding with extrinsic exchange."""
     cfg = cfg or PpcConfig()
     llrs = np.asarray(channel_llr_matrix, dtype=float)
+    if llrs.ndim not in (2, 3):
+        raise ValueError(f"LLR matrices must be (N_c, N_r) or (batch, N_c, N_r), got shape {llrs.shape}")
     single = llrs.ndim == 2
     llrs = llrs[None] if single else llrs
     if llrs.shape[-2:] != ppc.shape:
         raise ValueError(f"LLR matrix shape {llrs.shape[-2:]} != {ppc.shape}")
+    nan = np.argwhere(np.isnan(llrs))
+    if nan.size:
+        raise ValueError(f"channel LLR is NaN at (frame, row, column) {tuple(nan[0].tolist())}")
     B, N_c, N_r = llrs.shape
     if decoder == "sc":
         raise ValueError("component decoders exchange soft output; 'sc' has none")

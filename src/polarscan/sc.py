@@ -9,17 +9,13 @@ up as partial codewords. Batched over a leading frame axis.
 import numpy as np
 
 from .arithmetic import boxplus_minsum
+from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
 
 
 def sc_decode(code: PolarCode, channel_llrs: np.ndarray) -> dict:
     """Returns {'u_hat': (..., N) bits, 'x_hat': (..., N) bits}."""
-    llrs = np.atleast_2d(np.asarray(channel_llrs, dtype=float))
-    if llrs.shape[-1] != code.N:
-        raise ValueError(f"LLR length {llrs.shape[-1]} != N={code.N}")
-    nan = np.argwhere(np.isnan(llrs))
-    if nan.size:
-        raise ValueError(f"channel LLR is NaN at (frame, position) {tuple(nan[0].tolist())}")
+    llrs = checked_llrs(channel_llrs, code.N)
     squeeze = np.asarray(channel_llrs).ndim == 1
     B = llrs.shape[0]
     u_hat = np.zeros((B, code.N), dtype=np.uint8)

@@ -7,6 +7,12 @@ both directions and keeps them between iterations. Messages live in two
     lam[t][:, i*2^t : (i+1)*2^t]   demands into node i of stage t
     beta[t][...]                   feedback out of node i of stage t
 
+Each array is a transposed view of an (n+1, N, batch) buffer, frames last
+(the inter-frame layout of Le Gal, Leroux & Jego, IEEE TSP 2015), so a node
+slice lam[t][:, lo:hi] is one contiguous block of (hi-lo)*batch floats and
+every update runs over contiguous memory. The arrays index as (n+1, batch,
+N) all the same.
+
 lam[n] is the (clamped) channel LLR vector and is never modified; beta[0]
 is +SAT at frozen leaf positions and 0 elsewhere and is never modified.
 All other entries start at 0 and persist across iterations.
@@ -18,15 +24,18 @@ children's beta:
     right demand  f(a, bl) + b        (bl freshly updated by the left child)
     feedback      [f(bl, b + br), br + f(a, bl)]
 
-where f is box-plus (exact or min-sum) and + saturates. The decoder is
-batched: a leading frame axis is broadcast through every update.
+where f is box-plus (exact or min-sum) and + saturates. The right subtree
+writes neither a nor bl, so the feedback reuses the f(a, bl) of the right
+demand instead of computing it again. The decoder is batched: a frame axis
+is broadcast through every update.
 
 A tree compiles once into a flat tuple of ops in depth-first order, each
 with precomputed index tuples into lam and beta: left demand, right demand
 and feedback per internal node, one kernel op per pruned leaf. _run_ops
-executes one iteration in a plain loop. SCAN is this executor over the
-unpruned tree, whose stage-0 leaves emit no op as beta[0] never changes;
-fast-SCAN (fastscan.py) runs it over a pruned schedule.
+executes one iteration in a plain loop; the f(a, bl) of each node whose
+right subtree is running waits on a stack, as the ops nest. SCAN is this
+executor over the unpruned tree, whose stage-0 leaves emit no op as beta[0]
+never changes; fast-SCAN (fastscan.py) runs it over a pruned schedule.
 """
 
 from dataclasses import dataclass
@@ -35,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import DEFAULT_SAT, clamp, combiner, sat_add
+from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
 
 
@@ -51,7 +61,8 @@ class ScanConfig:
 
 @dataclass
 class MessageMemory:
-    """Persistent lam/beta arrays, shape (n+1, batch, N) each."""
+    """Persistent lam/beta arrays, shape (n+1, batch, N) each, frames last in
+    memory (see the module docstring)."""
 
     lam: np.ndarray
     beta: np.ndarray
@@ -67,20 +78,18 @@ class ScanOutput:
 
 def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
     """Fresh memory: channel LLRs at stage n, frozen +SAT at stage 0, zeros elsewhere."""
-    llrs = np.atleast_2d(np.asarray(channel_llrs, dtype=float))
-    if llrs.ndim > 2:
-        raise ValueError(f"LLRs must be (N,) or (batch, N), got shape {llrs.shape}")
-    if llrs.shape[-1] != code.N:
-        raise ValueError(f"LLR length {llrs.shape[-1]} != N={code.N}")
-    nan = np.argwhere(np.isnan(llrs))
-    if nan.size:
-        raise ValueError(f"channel LLR is NaN at (frame, position) {tuple(nan[0].tolist())}")
-    B = llrs.shape[0]
-    lam = np.zeros((code.n + 1, B, code.N))
-    beta = np.zeros((code.n + 1, B, code.N))
-    lam[code.n] = clamp(llrs)
-    beta[0][:, code.frozen_mask] = DEFAULT_SAT
-    return MessageMemory(lam=lam, beta=beta)
+    llrs = checked_llrs(channel_llrs, code.N)
+    mem = _zero_memory(code.n, llrs.shape[0])
+    mem.lam[code.n] = clamp(llrs)
+    mem.beta[0][:, code.frozen_mask] = DEFAULT_SAT
+    return mem
+
+
+def _zero_memory(n: int, batch: int) -> MessageMemory:
+    """All-zero lam/beta of shape (n+1, batch, 2^n), frames last in memory."""
+    shape = (n + 1, 1 << n, batch)
+    return MessageMemory(lam=np.zeros(shape).transpose(0, 2, 1),
+                         beta=np.zeros(shape).transpose(0, 2, 1))
 
 
 _LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
@@ -124,14 +133,17 @@ def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list | None =
     to log in visit order, when one is given."""
     lam, beta, arithmetic = mem.lam, mem.beta, cfg.arithmetic
     f = combiner(arithmetic)
+    pending = []   # f(a, bl) of each node whose right subtree is running
     for op, a, b, l, r in ops:
         if op == _LEFT:
             lam[l] = f(lam[a], sat_add(lam[b], beta[r]))
         elif op == _RIGHT:
-            lam[r] = sat_add(f(lam[a], beta[l]), lam[b])
+            fab = f(lam[a], beta[l])
+            pending.append(fab)
+            lam[r] = sat_add(fab, lam[b])
         elif op == _FEEDBACK:
             beta[a] = f(beta[l], sat_add(lam[b], beta[r]))
-            beta[b] = sat_add(beta[r], f(lam[a], beta[l]))
+            beta[b] = sat_add(beta[r], pending.pop())
         else:   # kernel leaf: a is the node, b its kernel
             demand = lam[a]
             if log is not None:
@@ -145,7 +157,7 @@ def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -
     leaves = [a for op, a, *_ in ops if op == _LEAF]
     B = mem.lam.shape[1]
     for s, (t, _, span) in enumerate(leaves):
-        local = MessageMemory(lam=np.zeros((t + 1, B, 1 << t)), beta=np.zeros((t + 1, B, 1 << t)))
+        local = _zero_memory(t, B)
         local.beta[0] = mem.beta[0][:, span]
         for demand in log[s::len(leaves)]:
             local.lam[t] = demand
@@ -156,7 +168,7 @@ def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -
 def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool) -> ScanOutput:
     """Hard decisions from channel + root feedback; ties decide 0."""
     ap = sat_add(mem.lam[code.n], mem.beta[code.n])
-    x_hat = (ap < 0).astype(np.uint8)
+    x_hat = np.ascontiguousarray(ap < 0, dtype=np.uint8)   # ap is frame-last like mem
     u_hat = butterfly_transform(x_hat)
     leaf = mem.lam[0].copy()
     root = mem.beta[code.n].copy()

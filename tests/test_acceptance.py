@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from polarscan import (
     DEFAULT_TYPES,
@@ -143,6 +144,7 @@ def scaled_deviation(a, b) -> float:
     return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))))
 
 
+@pytest.mark.slow
 def test_criterion_3_soft_output_equivalence():
     t0 = time.time()
     codes = [(N, K) for N in (64, 128, 256) for K in (N // 8, N // 2, 7 * N // 8)]

@@ -92,3 +92,50 @@ def test_combiner_dispatch():
         assert False, "expected ValueError"
     except ValueError:
         pass
+
+
+# ±SAT, ±0.0, ±1e-300, ±(SAT-1), out-of-range ±2e6 and ordinary values
+BIT_GRID = np.array([v for x in (SAT, 0.0, 1e-300, SAT - 1.0, 2e6, 1.5, 3.25, 1e5)
+                     for v in (x, -x)])
+
+
+def _ref_sat_add(x, y):
+    """The documented rules, one pair of Python floats at a time."""
+    if (x == SAT and y == -SAT) or (x == -SAT and y == SAT):
+        return 0.0
+    if SAT in (x, y):
+        return SAT
+    if -SAT in (x, y):
+        return -SAT
+    return min(max(x + y, -SAT), SAT)
+
+
+def _ref_minsum(x, y):
+    sign = lambda v: -1.0 if v < 0 else 1.0   # sign(0) = sign(-0.0) = +1
+    return sign(x) * sign(y) * min(abs(x), abs(y))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_bit_patterns_match_elementwise_reference():
+    col, row = BIT_GRID[:, None], BIT_GRID[None, :]
+    for fn, ref in ((sat_add, _ref_sat_add), (boxplus_minsum, _ref_minsum)):
+        want = np.array([[ref(float(x), float(y)) for y in BIT_GRID] for x in BIT_GRID])
+        # (B,1) x (1,N) broadcasting, and both operands at full shape
+        got = fn(col, row)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        full = [np.ascontiguousarray(x) for x in np.broadcast_arrays(col, row)]
+        np.testing.assert_array_equal(_bits(fn(*full)), _bits(want))
+        np.testing.assert_array_equal(_bits(fn(full[0].T, full[1].T)), _bits(want.T))
+        for x, y in zip(full[0].ravel()[::7], full[1].ravel()[::7]):
+            w = _bits(ref(float(x), float(y)))
+            assert _bits(fn(float(x), float(y))) == w          # Python floats
+            assert _bits(fn(np.array(x), np.array(y))) == w    # 0-d arrays
+    # returned types: sat_add gives a 0-d array, boxplus_minsum a numpy scalar
+    for args in ((1.0, 2.0), (np.array(SAT), np.array(-SAT))):
+        out = sat_add(*args)
+        assert type(out) is np.ndarray and out.shape == ()
+        assert type(boxplus_minsum(*args)) is np.float64

@@ -1,5 +1,7 @@
 """Product polar codes: grid encoding and turbo-style soft decoding."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,16 @@ def test_decode_llr_shape_mismatch(rng):
     ppc = square_ppc(4, 2)
     with pytest.raises(ValueError):
         ppc_decode(ppc, np.zeros((4, 8)))
+    for bad in (np.zeros(16), np.zeros((1, 2, 4, 4))):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+            ppc_decode(ppc, bad)
+
+
+def test_decode_names_nan_by_matrix_coordinates():
+    ppc = square_ppc(4, 2)
+    with pytest.raises(ValueError, match=re.escape("(frame, row, column) (0, 0, 0)")):
+        ppc_decode(ppc, np.full((4, 4), np.nan))
+    llrs = np.ones((3, 4, 4))
+    llrs[2, 1, 3] = np.nan
+    with pytest.raises(ValueError, match=re.escape("(frame, row, column) (2, 1, 3)")):
+        ppc_decode(ppc, llrs)

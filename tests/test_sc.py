@@ -74,6 +74,8 @@ def test_length_mismatch():
         sc_decode(code, np.zeros(4))
     with pytest.raises(ValueError, match="NaN"):
         sc_decode(code, [np.nan, 1, -1, 2, -2, 1, 1, -3])
+    with pytest.raises(ValueError, match=r"\(2, 3, 8\)"):
+        sc_decode(code, np.ones((2, 3, 8)))
 
 
 def test_latency_formula():

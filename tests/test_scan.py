@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import code_from_mask
-from polarscan import ScanConfig, ScanDecoder, build_code, init_messages, scan_decode
+from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, build_code, init_messages, scan_decode
 from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
 
@@ -145,3 +145,23 @@ def test_config_and_input_validation():
         init_messages(code, np.zeros((2, 3, 8)))
     with pytest.raises(ValueError, match="NaN"):
         init_messages(code, [np.nan, 1, -1, 2, -2, 1, 1, -3])
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("decoder", [ScanDecoder, FastScanDecoder])
+def test_messages_are_frame_last_and_outputs_contiguous(rng, decoder, single):
+    # Each node slice lam[t][:, lo:hi] is one contiguous block only while the
+    # (n+1, batch, N) arrays are views of C-ordered (n+1, N, batch) buffers.
+    code = build_code(64, 32)
+    llrs = rng.normal(1.0, 2.0, size=64 if single else (5, 64))
+    dec = decoder(code, ScanConfig(iterations=2))
+    out = dec.decode(llrs)
+    batch = 1 if single else 5
+    for arr in (dec.memory.lam, dec.memory.beta):
+        assert arr.shape == (code.n + 1, batch, code.N)
+        for t in range(code.n + 1):
+            assert arr[t].T.shape == (code.N, batch) and arr[t].T.flags.c_contiguous
+    for field in ("leaf_extrinsic", "root_extrinsic", "u_hat", "x_hat"):
+        value = getattr(out, field)
+        assert value.shape == ((code.N,) if single else (batch, code.N))
+        assert value.flags.c_contiguous, field
