@@ -24,7 +24,7 @@ DEFAULT_SAT = 1.0e6
 
 def clamp(x):
     """Clip values into [-SAT, +SAT]."""
-    return np.clip(x, -DEFAULT_SAT, DEFAULT_SAT)
+    return np.asarray(x).clip(-DEFAULT_SAT, DEFAULT_SAT)
 
 
 def hard_sign(x):
@@ -42,7 +42,7 @@ def sat_add(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.asarray(np.add(a, b))   # a 0-d sum comes back a scalar, which out= rejects
-    np.clip(out, -DEFAULT_SAT, DEFAULT_SAT, out=out)
+    out.clip(-DEFAULT_SAT, DEFAULT_SAT, out=out)
     # `|`, not `|=`: either operand may be smaller than the broadcast sum
     top = (a == DEFAULT_SAT) | (b == DEFAULT_SAT)
     bot = (a == -DEFAULT_SAT) | (b == -DEFAULT_SAT)
@@ -76,7 +76,7 @@ def boxplus(a, b):
     b = np.asarray(b, dtype=float)
     with np.errstate(over="ignore"):
         core = boxplus_minsum(a, b) + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out = np.clip(core, -DEFAULT_SAT, DEFAULT_SAT)
+    out = core.clip(-DEFAULT_SAT, DEFAULT_SAT)
     a_sat = np.abs(a) == DEFAULT_SAT
     b_sat = np.abs(b) == DEFAULT_SAT
     out = np.where(b_sat, hard_sign(b) * a, out)

@@ -10,7 +10,8 @@ A pruned subtree never computes its interior messages, so the leaf-level
 extrinsic lam[0] is reconstructed afterwards: a subtree only ever sees the
 demand vector its parent writes, so replaying a local SCAN on the logged
 per-iteration demands reproduces the interior evolution exactly. The
-replay is the same executor, run over the unpruned subtree.
+replay is the same executor, run over the unpruned subtree once per stage
+and iteration: the pruned leaves of one stage are stacked as extra frames.
 """
 
 import numpy as np
@@ -50,7 +51,9 @@ class FastScanDecoder:
 
     leaf_extrinsic=False skips the lam[0] reconstruction inside pruned
     subtrees (the returned leaf_extrinsic is then only valid outside them);
-    useful when only the codeword-side outputs are consumed.
+    useful when only the codeword-side outputs are consumed. For the (128,64)
+    code in exact arithmetic, 2 iterations and 16 frames per call, the
+    reconstruction is about half of the decode time (0.50 in a traced run).
     """
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None,

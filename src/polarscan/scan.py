@@ -152,17 +152,28 @@ def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list | None =
 
 
 def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -> None:
-    """Fill lam[0] inside each kernel leaf of ops: run the unpruned subtree of
-    the leaf on the demands _run_ops logged for it, one per iteration."""
+    """Fill lam[0] inside each kernel leaf of ops by running the unpruned
+    subtree of the leaf on the demands _run_ops logged for it, one per
+    iteration. A subtree only sees its own demand and its own beta[0], both
+    per frame, so the leaves of one stage are replayed together as extra
+    frames: one _run_ops call per stage and iteration, with leaf g in frame
+    rows [g*B, (g+1)*B). Log entries are dropped as they are copied in."""
     leaves = [a for op, a, *_ in ops if op == _LEAF]
-    B = mem.lam.shape[1]
-    for s, (t, _, span) in enumerate(leaves):
-        local = _zero_memory(t, B)
-        local.beta[0] = mem.beta[0][:, span]
-        for demand in log[s::len(leaves)]:
-            local.lam[t] = demand
+    B, L = mem.lam.shape[1], len(leaves)
+    for t in sorted({t for t, _, _ in leaves}):
+        group = [(s, span) for s, (u, _, span) in enumerate(leaves) if u == t]
+        group = [(s, span, slice(g * B, (g + 1) * B)) for g, (s, span) in enumerate(group)]
+        local = _zero_memory(t, B * len(group))
+        for _, span, rows in group:
+            local.beta[0][rows] = mem.beta[0][:, span]
+        for first in range(0, len(log), L):
+            for s, _, rows in group:
+                local.lam[t][rows] = log[first + s]
+                log[first + s] = None
             _run_ops(_unpruned_ops(t), local, cfg)
-        mem.lam[0][:, span] = local.lam[0]
+        for _, span, rows in group:
+            mem.lam[0][:, span] = local.lam[0][rows]
+        del local   # free this group's memory before the next is allocated
 
 
 def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool) -> ScanOutput:

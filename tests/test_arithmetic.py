@@ -110,9 +110,30 @@ def _ref_sat_add(x, y):
     return min(max(x + y, -SAT), SAT)
 
 
+def _sign(v):
+    return -1.0 if v < 0 else 1.0   # sign(0) = sign(-0.0) = +1
+
+
 def _ref_minsum(x, y):
-    sign = lambda v: -1.0 if v < 0 else 1.0   # sign(0) = sign(-0.0) = +1
-    return sign(x) * sign(y) * min(abs(x), abs(y))
+    return _sign(x) * _sign(y) * min(abs(x), abs(y))
+
+
+def _ref_clamp(x):
+    return min(max(x, -SAT), SAT)
+
+
+def _ref_boxplus(x, y):
+    """Saturated operands are identities; otherwise the stable formula,
+    evaluated in the same order as boxplus, then clipped."""
+    if abs(x) == SAT and abs(y) == SAT:
+        return _sign(x) * _sign(y) * SAT
+    if abs(x) == SAT:
+        return _sign(x) * y
+    if abs(y) == SAT:
+        return _sign(y) * x
+    core = (_ref_minsum(x, y) + float(np.log1p(np.exp(-abs(x + y))))
+            - float(np.log1p(np.exp(-abs(x - y)))))
+    return _ref_clamp(core)
 
 
 def _bits(x):
@@ -121,7 +142,8 @@ def _bits(x):
 
 def test_bit_patterns_match_elementwise_reference():
     col, row = BIT_GRID[:, None], BIT_GRID[None, :]
-    for fn, ref in ((sat_add, _ref_sat_add), (boxplus_minsum, _ref_minsum)):
+    for fn, ref in ((sat_add, _ref_sat_add), (boxplus_minsum, _ref_minsum),
+                    (boxplus, _ref_boxplus)):
         want = np.array([[ref(float(x), float(y)) for y in BIT_GRID] for x in BIT_GRID])
         # (B,1) x (1,N) broadcasting, and both operands at full shape
         got = fn(col, row)
@@ -134,8 +156,23 @@ def test_bit_patterns_match_elementwise_reference():
             w = _bits(ref(float(x), float(y)))
             assert _bits(fn(float(x), float(y))) == w          # Python floats
             assert _bits(fn(np.array(x), np.array(y))) == w    # 0-d arrays
-    # returned types: sat_add gives a 0-d array, boxplus_minsum a numpy scalar
-    for args in ((1.0, 2.0), (np.array(SAT), np.array(-SAT))):
-        out = sat_add(*args)
-        assert type(out) is np.ndarray and out.shape == ()
+    # clamp: a column, a row, C and F operands, Python floats and 0-d arrays
+    want = np.array([_ref_clamp(float(x)) for x in BIT_GRID])
+    for x, w in ((col, want[:, None]), (row, want[None, :]), (full[0], np.tile(want[:, None], 16)),
+                 (full[0].T, np.tile(want[None, :], (16, 1)))):
+        got = clamp(x)
+        assert got.dtype == np.float64 and got.shape == w.shape
+        np.testing.assert_array_equal(_bits(got), _bits(w))
+    for x in BIT_GRID:
+        assert _bits(clamp(float(x))) == _bits(_ref_clamp(float(x)))
+        assert _bits(clamp(np.array(x))) == _bits(_ref_clamp(float(x)))
+    # returned types: sat_add and boxplus give a 0-d array, boxplus_minsum and
+    # clamp a numpy scalar; clamp keeps a float32 array's dtype
+    for args in ((1.0, 2.0), (np.array(SAT), np.array(-SAT)), (np.array(2.0), 3.0)):
+        for fn in (sat_add, boxplus):
+            out = fn(*args)
+            assert type(out) is np.ndarray and out.shape == ()
         assert type(boxplus_minsum(*args)) is np.float64
+        assert type(clamp(args[0])) is np.float64
+    assert type(clamp([1.0, 3e6])) is np.ndarray
+    assert clamp(np.zeros(3, dtype=np.float32)).dtype == np.float32

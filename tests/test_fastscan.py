@@ -8,11 +8,14 @@ from polarscan import (
     FastScanDecoder,
     KERNEL_TYPES,
     ScanConfig,
+    ScanDecoder,
     build_code,
     build_schedule,
     fast_scan_decode,
+    init_messages,
     scan_decode,
 )
+from polarscan import fastscan, scan
 from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
 
@@ -84,6 +87,73 @@ def test_leaf_extrinsic_flag(rng):
     np.testing.assert_array_equal(fast.root_extrinsic, full.root_extrinsic)
     np.testing.assert_array_equal(fast.u_hat, full.u_hat)
     np.testing.assert_array_equal(fast.x_hat, full.x_hat)
+
+
+@pytest.mark.parametrize("N, K, calls", [(128, 64, 8), (1024, 512, 14)])
+def test_leaf_replay_runs_once_per_stage(monkeypatch, rng, N, K, calls):
+    # per iteration: the pruned tree, then one replay per distinct stage of the
+    # kernel leaves ((128,64): 14 leaves on stages 2, 3, 5; (1024,512): 75 on 2-7)
+    dec = FastScanDecoder(build_code(N, K), ScanConfig(iterations=2))
+    stages = {d.stage for d in dec.schedule.leaves() if d.stage > 0}
+    seen, run_ops = [], scan._run_ops
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return run_ops(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "_run_ops", counting)
+    monkeypatch.setattr(fastscan, "_run_ops", counting)
+    dec.decode(rng.normal(size=(4, N)))
+    assert len(seen) == 2 * (1 + len(stages)) == calls
+
+
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def _leaf_by_leaf_replay(dec, llrs):
+    """fast-SCAN's lam[0], each kernel leaf replayed on its own: a local SCAN
+    of the leaf's subtree run on the demands logged for that leaf."""
+    mem, log = init_messages(dec.code, llrs), []
+    for _ in range(dec.cfg.iterations):
+        scan._run_ops(dec._ops, mem, dec.cfg, log)
+    leaves = [a for op, a, *_ in dec._ops if op == scan._LEAF]
+    for s, (t, _, span) in enumerate(leaves):
+        local = scan._zero_memory(t, mem.lam.shape[1])
+        local.beta[0] = mem.beta[0][:, span]
+        for demand in log[s::len(leaves)]:
+            local.lam[t] = demand
+            scan._run_ops(scan._unpruned_ops(t), local, dec.cfg)
+        mem.lam[0][:, span] = local.lam[0]
+    return mem.lam[0]
+
+
+@pytest.mark.parametrize("iters", (1, 3))
+@pytest.mark.parametrize("batch", (1, 8))
+def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, batch, iters):
+    # (1024,512) min-sum replays 34 stage-2 leaves as one group, and the stages
+    # alternate in visit order, so a leaf written to the wrong frame rows shows
+    code = build_code(1024, 512)
+    cfg = ScanConfig(iterations=iters)
+    llrs = rng.normal(size=(batch, 1024)) * 2.0 + 1.0
+    for start, value in enumerate((0.0, -0.0, DEFAULT_SAT, 1e-300, -1e-300)):
+        llrs[:, start::41] = value
+    llrs = llrs[0] if batch == 1 else llrs
+    full = ScanDecoder(code, cfg)
+    want = full.decode(llrs).leaf_extrinsic
+    for kw in ({}, {"enabled_types": KERNEL_TYPES}):
+        dec = FastScanDecoder(code, cfg, **kw)
+        np.testing.assert_array_equal(_bits(dec.decode(llrs).leaf_extrinsic), _bits(want))
+        np.testing.assert_array_equal(_bits(dec.memory.lam[0]), _bits(full.memory.lam[0]))
+    # forced SPC parity departs from SCAN; its reference is the one-leaf replay,
+    # as costly as SCAN, so it runs where each leaf logs several demands
+    if iters == 1:
+        return
+    dec = FastScanDecoder(code, cfg, spc_forced=True)
+    got = dec.decode(llrs).leaf_extrinsic
+    want = _leaf_by_leaf_replay(dec, llrs)
+    np.testing.assert_array_equal(_bits(dec.memory.lam[0]), _bits(want))
+    np.testing.assert_array_equal(_bits(got), _bits(want[0] if batch == 1 else want))
 
 
 def test_spc_forced_changes_output(rng):
