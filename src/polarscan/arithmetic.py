@@ -15,6 +15,17 @@ package:
 Without the absorbing rule, an all-frozen subtree would feed back
 SAT - epsilon instead of exactly SAT and the closed-form node kernels could
 not be bit-identical to the message-passing recursion.
+
+The functions run over whole message arrays on every decoder op, so they
+keep to one rule: no select that depends on the data runs over a whole
+array. A sign comes from a comparison turned into arithmetic (hard_sign is
+1 - 2*(x < 0)), not from np.where. A certainty fix-up runs only when its
+operands hold a certainty, and is skipped when its mask is empty. On
+channel LLRs the signs are random, and an element-wise select on them runs
+as a data-dependent branch that the CPU cannot predict, several times
+slower than the arithmetic that replaces it. The masks of a certainty
+fix-up are mostly empty, or cover whole frozen positions, which
+frames-last message storage keeps contiguous.
 """
 
 import numpy as np
@@ -29,8 +40,9 @@ def clamp(x):
 
 def hard_sign(x):
     """Sign with sign(0) = +1, returned as +-1.0 floats."""
-    x = np.asarray(x)
-    return np.where(x < 0, -1.0, 1.0)
+    s = np.asarray((np.asarray(x) < 0) * -2.0)   # 0-d stays an array
+    s += 1.0
+    return s
 
 
 def sat_add(a, b):
@@ -43,13 +55,13 @@ def sat_add(a, b):
     b = np.asarray(b, dtype=float)
     out = np.asarray(np.add(a, b))   # a 0-d sum comes back a scalar, which out= rejects
     out.clip(-DEFAULT_SAT, DEFAULT_SAT, out=out)
-    # `|`, not `|=`: either operand may be smaller than the broadcast sum
-    top = (a == DEFAULT_SAT) | (b == DEFAULT_SAT)
-    bot = (a == -DEFAULT_SAT) | (b == -DEFAULT_SAT)
-    np.copyto(out, DEFAULT_SAT, where=top)
-    np.copyto(out, -DEFAULT_SAT, where=bot)
-    top &= bot
-    np.copyto(out, 0.0, where=top)
+    # Two certainties already sum to +-SAT or +0.0; a single one is copied
+    # over the sum. `>` on the masks broadcasts to the shape of the sum.
+    a_sat = (a == DEFAULT_SAT) | (a == -DEFAULT_SAT)
+    b_sat = (b == DEFAULT_SAT) | (b == -DEFAULT_SAT)
+    for src, only in ((a, a_sat > b_sat), (b, b_sat > a_sat)):
+        if only.any():
+            np.copyto(out, src, where=only)
     return out
 
 
@@ -74,14 +86,14 @@ def boxplus(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(over="ignore"):
-        core = boxplus_minsum(a, b) + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out = core.clip(-DEFAULT_SAT, DEFAULT_SAT)
+    core = boxplus_minsum(a, b) + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    out = np.asarray(core.clip(-DEFAULT_SAT, DEFAULT_SAT))
     a_sat = np.abs(a) == DEFAULT_SAT
     b_sat = np.abs(b) == DEFAULT_SAT
-    out = np.where(b_sat, hard_sign(b) * a, out)
-    out = np.where(a_sat, hard_sign(a) * b, out)
-    out = np.where(a_sat & b_sat, hard_sign(a) * hard_sign(b) * DEFAULT_SAT, out)
+    if b_sat.any():
+        out = np.where(b_sat, hard_sign(b) * a, out)
+    if a_sat.any():   # where both are +-SAT, sign(a) * b is sign(a)*sign(b)*SAT
+        out = np.where(a_sat, hard_sign(a) * b, out)
     return out
 
 

@@ -53,7 +53,7 @@ class FastScanDecoder:
     subtrees (the returned leaf_extrinsic is then only valid outside them);
     useful when only the codeword-side outputs are consumed. For the (128,64)
     code in exact arithmetic, 2 iterations and 16 frames per call, the
-    reconstruction is about half of the decode time (0.50 in a traced run).
+    reconstruction is about half of the decode time (0.55 in a traced run).
     """
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None,

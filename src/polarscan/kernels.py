@@ -68,7 +68,8 @@ def _spc_minsum(lam):
     m1 = np.take_along_axis(absl, k1[..., None], axis=-1)
     neg = lam < 0
     parity = np.logical_xor.reduce(neg, axis=-1, keepdims=True)
-    signs = np.where(np.logical_xor(parity, neg), -1.0, 1.0)
+    signs = np.logical_xor(parity, neg) * -2.0
+    signs += 1.0
     beta = signs * m0
     np.put_along_axis(beta, k0[..., None], np.take_along_axis(signs, k0[..., None], axis=-1) * m1, axis=-1)
     return beta

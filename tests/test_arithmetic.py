@@ -38,8 +38,9 @@ def test_boxplus_zero_absorbs():
 def test_minsum_examples():
     assert float(boxplus_minsum(-2.0, 3.0)) == -2.0
     assert float(boxplus_minsum(5.0, -5.0)) == -5.0
-    # sign(0) = +1
-    assert float(boxplus_minsum(0.0, -4.0)) == -0.0 or float(boxplus_minsum(0.0, -4.0)) == 0.0
+    # sign(0) = sign(-0.0) = +1, so the zero takes the sign of the other operand
+    assert np.signbit(boxplus_minsum(0.0, -4.0))
+    assert not np.signbit(boxplus_minsum(-0.0, 4.0))
     assert float(boxplus_minsum(-1.0, -2.0)) == 1.0
 
 
@@ -156,23 +157,54 @@ def test_bit_patterns_match_elementwise_reference():
             w = _bits(ref(float(x), float(y)))
             assert _bits(fn(float(x), float(y))) == w          # Python floats
             assert _bits(fn(np.array(x), np.array(y))) == w    # 0-d arrays
-    # clamp: a column, a row, C and F operands, Python floats and 0-d arrays
-    want = np.array([_ref_clamp(float(x)) for x in BIT_GRID])
-    for x, w in ((col, want[:, None]), (row, want[None, :]), (full[0], np.tile(want[:, None], 16)),
-                 (full[0].T, np.tile(want[None, :], (16, 1)))):
-        got = clamp(x)
-        assert got.dtype == np.float64 and got.shape == w.shape
-        np.testing.assert_array_equal(_bits(got), _bits(w))
-    for x in BIT_GRID:
-        assert _bits(clamp(float(x))) == _bits(_ref_clamp(float(x)))
-        assert _bits(clamp(np.array(x))) == _bits(_ref_clamp(float(x)))
-    # returned types: sat_add and boxplus give a 0-d array, boxplus_minsum and
-    # clamp a numpy scalar; clamp keeps a float32 array's dtype
+    # clamp and hard_sign (-0.0 -> +1.0): a column, a row, C and F operands,
+    # Python floats and 0-d arrays
+    for fn, ref in ((clamp, _ref_clamp), (hard_sign, _sign)):
+        want = np.array([ref(float(x)) for x in BIT_GRID])
+        for x, w in ((col, want[:, None]), (row, want[None, :]), (full[0], np.tile(want[:, None], 16)),
+                     (full[0].T, np.tile(want[None, :], (16, 1)))):
+            got = fn(x)
+            assert got.dtype == np.float64 and got.shape == w.shape
+            np.testing.assert_array_equal(_bits(got), _bits(w))
+        for x in BIT_GRID:
+            assert _bits(fn(float(x))) == _bits(ref(float(x)))
+            assert _bits(fn(np.array(x))) == _bits(ref(float(x)))
+    # returned types: sat_add, boxplus and hard_sign give a 0-d array,
+    # boxplus_minsum and clamp a numpy scalar; clamp keeps a float32 array's dtype
     for args in ((1.0, 2.0), (np.array(SAT), np.array(-SAT)), (np.array(2.0), 3.0)):
         for fn in (sat_add, boxplus):
             out = fn(*args)
             assert type(out) is np.ndarray and out.shape == ()
         assert type(boxplus_minsum(*args)) is np.float64
         assert type(clamp(args[0])) is np.float64
+        out = hard_sign(args[0])
+        assert type(out) is np.ndarray and out.shape == () and out.dtype == np.float64
     assert type(clamp([1.0, 3e6])) is np.ndarray
     assert clamp(np.zeros(3, dtype=np.float32)).dtype == np.float32
+
+
+def test_large_arrays_match_elementwise_reference():
+    """Arrays long enough for numpy's SIMD loops, with random signs: BIT_GRID
+    values at random positions (fix-up masks in use), no certainty at all
+    (every mask empty), and certainty everywhere (both operands +-SAT)."""
+    rng = np.random.default_rng(7)
+    shape = (256, 512)
+
+    def operand():
+        x = rng.normal(0.0, 4.0, shape)
+        pos = rng.random(shape) < 0.05
+        x[pos] = rng.choice(BIT_GRID, int(pos.sum()))
+        return x
+
+    pairs = ((operand(), operand()), tuple(rng.normal(0.0, 4.0, (2,) + shape)),
+             tuple(rng.choice([SAT, -SAT], (2,) + shape)))
+    refs = [(fn, np.vectorize(ref, otypes=[float])) for fn, ref in
+            ((sat_add, _ref_sat_add), (boxplus_minsum, _ref_minsum), (boxplus, _ref_boxplus))]
+    sign_ref = np.vectorize(_sign, otypes=[float])
+    for a, b in pairs:
+        a, b = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T   # frames last, as messages are stored
+        for fn, ref in refs:
+            got = fn(a, b)
+            assert got.dtype == np.float64 and got.shape == shape
+            np.testing.assert_array_equal(_bits(got), _bits(ref(a, b)))
+        np.testing.assert_array_equal(_bits(hard_sign(a)), _bits(sign_ref(a)))
