@@ -1,50 +1,57 @@
 """Closed-form feedback kernels for special decoding-tree nodes.
 
-Each kernel maps a node's demand vector lam (shape (..., size)) straight to
-its feedback beta, skipping the subtree traversal. The implementations are
-written so that in min-sum mode the result is bit-identical to running the
-message-passing recursion over the subtree:
+Each kernel maps a node's demand vector lam (shape (..., s)) straight to
+its feedback beta, skipping the subtree traversal. Every special node has
+the frozen pattern F^j I^(s-j), and one rule per level covers them all. At
+a level of half-size h, with lo, hi the two halves of lam:
 
-* Rep, TypeII and TypeIV share one fold (_fold): fold the two halves of lam
-  pairwise, run the inner kernel on the folded half, unfold with the same
-  operation. Rep and TypeII fold with saturating adds, as the recursion
-  does for the right-child demand (left children are all frozen, and
-  demands into all-frozen subtrees never influence feedback); TypeII
-  bottoms out in a size-4 SPC. TypeIV folds with box-plus (right children
-  are all information, so their feedback is exactly 0 and the left-demand
-  box-plus collapses to f(lo, hi)) onto a size-4 Rep.
-* Spc in min-sum copies input magnitudes (min is exact), so the direct
-  two-smallest-magnitudes form matches any association order. The exact
-  mode uses prefix/suffix box-plus arrays, which fixes one association and
-  agrees with the subtree to floating-point accuracy.
-* TypeI and TypeIII are a Rep and an SPC over the even and odd interleaves
-  (Hanif & Ardakani, IEEE Comm. Lett. 2017), run as one batched kernel
-  call by _interleaved.
+* j == h: the left half is Rate0 and the right half Rate1, so the halves
+  swap: beta = [hi, lo].
+* j > h: the left half is Rate0 and feeds back certainty, so box-plus with
+  it passes values through and the level folds with saturating adds:
+  inner = kernel(lo + hi), beta = [hi + inner, lo + inner].
+* j < h: the right half is Rate1 and feeds back 0, so the level folds the
+  same way with box-plus.
+
+The folded half is again an F^j' I^(h-j') node, so one helper (_level)
+runs every kernel, level by level: Rep, TypeI and TypeII keep their
+information count as they fold, SPC, TypeIII and TypeIV their frozen
+count. Each level computes the adds and box-plus of the subtree recursion
+on the same operands, so in min-sum and exact arithmetic alike a kernel
+equals one SCAN iteration over its pattern in value; only the sign of a
+zero can differ. Min-sum SPC takes the two-smallest-magnitudes form
+instead of its fold: min-sum copies magnitudes, so any order gives the
+same values, and the direct form is faster.
 
 Every kernel accepts a batch axis and is stateless.
 """
 
 import numpy as np
 
-from .arithmetic import DEFAULT_SAT, boxplus, combiner, hard_sign, sat_add
+from .arithmetic import DEFAULT_SAT, combiner, hard_sign, sat_add
 
 
-def _fold(lam, g, inner_kernel):
-    """One fold level: inner = inner_kernel(g(lo, hi)), beta = [g(hi, inner),
-    g(lo, inner)]. g is commutative, so operand order does not matter."""
+def _checked(lam, kind, minimum):
+    """lam as floats; its last axis must be a power of two >= minimum."""
+    lam = np.asarray(lam, dtype=float)
+    size = lam.shape[-1] if lam.ndim else 0
+    if size < minimum or size & (size - 1):
+        raise ValueError(f"{kind} size {size} must be a power of two >= {minimum}")
+    return lam
+
+
+def _level(lam, j, inner, arithmetic=None):
+    """One level of an F^j I^(s-j) node: swap the halves (j == h), or fold
+    them with sat_add (j > h) or box-plus (j < h), run inner on the folded
+    half and unfold with the same operation. arithmetic is read only when
+    j < h."""
     h = lam.shape[-1] // 2
     lo, hi = lam[..., :h], lam[..., h:]
-    inner = inner_kernel(g(lo, hi))
-    return np.concatenate([g(hi, inner), g(lo, inner)], axis=-1)
-
-
-def _interleaved(kernel, lam):
-    """Run kernel once on the even and odd interleaves of lam as a batch:
-    (..., 2h) becomes (..., 2, h), the rows being lam[0::2], lam[1::2].
-    The rows are copied out contiguous, as the kernels reduce along them."""
-    lam = np.asarray(lam, dtype=float)
-    pairs = np.ascontiguousarray(lam.reshape(lam.shape[:-1] + (-1, 2)).swapaxes(-1, -2))
-    return kernel(pairs).swapaxes(-1, -2).reshape(lam.shape)
+    if j == h:
+        return np.concatenate([hi, lo], axis=-1)
+    g = sat_add if j > h else combiner(arithmetic)
+    folded = inner(g(lo, hi))
+    return np.concatenate([g(hi, folded), g(lo, folded)], axis=-1)
 
 
 def rate0_update(shape) -> np.ndarray:
@@ -75,26 +82,13 @@ def _spc_minsum(lam):
     return beta
 
 
-def _spc_exact(lam):
-    """beta[k] = box-plus of all entries except k, via prefix/suffix arrays."""
-    size = lam.shape[-1]
-    prefix = np.full(lam.shape[:-1] + (size + 1,), DEFAULT_SAT)   # +SAT is the box-plus identity
-    suffix = np.full(lam.shape[:-1] + (size + 1,), DEFAULT_SAT)
-    for j in range(size):
-        prefix[..., j + 1] = boxplus(prefix[..., j], lam[..., j])
-    for j in range(size - 1, -1, -1):
-        suffix[..., j] = boxplus(suffix[..., j + 1], lam[..., j])
-    return boxplus(prefix[..., :size], suffix[..., 1:])
-
-
 def spc_update(lam, arithmetic="minsum") -> np.ndarray:
-    """Single-parity-check node: extrinsic box-plus of all other entries."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1] < 2 or (lam.shape[-1] & (lam.shape[-1] - 1)) != 0:
-        raise ValueError(f"spc size {lam.shape[-1]} must be a power of two >= 2")
+    """Single-parity-check node F I^(s-1): extrinsic box-plus of all other
+    entries."""
+    lam = _checked(lam, "spc", 2)
     if arithmetic == "minsum":
         return _spc_minsum(lam)
-    return _spc_exact(lam)
+    return _level(lam, 1, lambda x: spc_update(x, arithmetic), arithmetic)
 
 
 def spc_update_forced(lam, arithmetic="minsum") -> np.ndarray:
@@ -113,49 +107,34 @@ def spc_update_forced(lam, arithmetic="minsum") -> np.ndarray:
 
 
 def rep_update(lam) -> np.ndarray:
-    """Repetition node: beta[k] = sum of all entries except k.
-
-    Folded pairwise (lo+hi, recurse, unfold) so the add order matches the
-    subtree recursion exactly.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1] == 1:
-        return np.zeros_like(lam)
-    if lam.shape[-1] == 2:
-        return lam[..., ::-1].copy()
-    return _fold(lam, sat_add, rep_update)
+    """Repetition node F^(s-1) I: beta[k] = sum of all entries except k."""
+    lam = _checked(lam, "rep", 2)
+    return _level(lam, lam.shape[-1] - 1, rep_update)
 
 
 def type1_update(lam) -> np.ndarray:
-    """Two trailing info bits: a repetition code on each interleave."""
-    if np.shape(lam)[-1] < 4:
-        raise ValueError("type1 needs size >= 4")
-    return _interleaved(rep_update, lam)
+    """TypeI node F^(s-2) I^2: two trailing info bits."""
+    lam = _checked(lam, "type1", 4)
+    return _level(lam, lam.shape[-1] - 2, type1_update)
 
 
 def type3_update(lam, arithmetic="minsum") -> np.ndarray:
-    """Two leading frozen bits: an SPC on each interleave."""
-    if np.shape(lam)[-1] < 4:
-        raise ValueError("type3 needs size >= 4")
-    return _interleaved(lambda x: spc_update(x, arithmetic), lam)
+    """TypeIII node F^2 I^(s-2): two leading frozen bits."""
+    lam = _checked(lam, "type3", 4)
+    return _level(lam, 2, lambda x: type3_update(x, arithmetic), arithmetic)
 
 
 def type2_update(lam, arithmetic="minsum") -> np.ndarray:
-    """Three trailing info bits: columns (mod 4) fold by addition onto a
-    size-4 SPC, then unfold like a repetition code."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1] < 4:
-        raise ValueError("type2 needs size >= 4")
+    """TypeII node F^(s-3) I^3: three trailing info bits; size 4 is an SPC."""
+    lam = _checked(lam, "type2", 4)
     if lam.shape[-1] == 4:
         return spc_update(lam, arithmetic)
-    return _fold(lam, sat_add, lambda x: type2_update(x, arithmetic))
+    return _level(lam, lam.shape[-1] - 3, lambda x: type2_update(x, arithmetic))
 
 
 def type4_update(lam, arithmetic="minsum") -> np.ndarray:
-    """Three leading frozen bits: columns (mod 4) fold by box-plus onto a
-    size-4 repetition node, then unfold with box-plus."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1] < 8:
-        raise ValueError("type4 needs size >= 8")
+    """TypeIV node F^3 I^(s-3): three leading frozen bits; size 8 folds
+    onto a size-4 Rep."""
+    lam = _checked(lam, "type4", 8)
     inner = rep_update if lam.shape[-1] == 8 else lambda x: type4_update(x, arithmetic)
-    return _fold(lam, combiner(arithmetic), inner)
+    return _level(lam, 3, inner, arithmetic)

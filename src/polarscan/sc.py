@@ -11,10 +11,12 @@ import numpy as np
 from .arithmetic import boxplus_minsum
 from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
+from .scan import ScanOutput
 
 
-def sc_decode(code: PolarCode, channel_llrs: np.ndarray) -> dict:
-    """Returns {'u_hat': (..., N) bits, 'x_hat': (..., N) bits}."""
+def sc_decode(code: PolarCode, channel_llrs: np.ndarray) -> ScanOutput:
+    """Hard decisions u_hat and x_hat, (..., N) bits each; SC has no soft
+    output, so leaf_extrinsic and root_extrinsic are None."""
     llrs = checked_llrs(channel_llrs, code.N)
     squeeze = np.asarray(channel_llrs).ndim == 1
     B = llrs.shape[0]
@@ -40,7 +42,7 @@ def sc_decode(code: PolarCode, channel_llrs: np.ndarray) -> dict:
     x_hat = butterfly_transform(u_hat)
     if squeeze:
         u_hat, x_hat = u_hat[0], x_hat[0]
-    return {"u_hat": u_hat, "x_hat": x_hat}
+    return ScanOutput(leaf_extrinsic=None, root_extrinsic=None, u_hat=u_hat, x_hat=x_hat)
 
 
 def sc_latency(N: int) -> int:

@@ -298,7 +298,7 @@ def test_criterion_7a_scan_vs_sc_error_rate():
         x = encode(code, insert_info(code, info))
         y = modulate(x) + rng.normal(scale=sigma, size=x.shape)
         llrs = channel_llrs(y, sigma)
-        sc = extract_info(code, sc_decode(code, llrs)["u_hat"])
+        sc = extract_info(code, sc_decode(code, llrs).u_hat)
         sc_err = np.r_[sc_err, np.any(sc != info, axis=1)]
         o1 = scan_decode(code, llrs, ScanConfig(iterations=1))
         s1_err = np.r_[s1_err, np.any(extract_info(code, o1.u_hat) != info, axis=1)]

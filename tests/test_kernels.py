@@ -199,3 +199,10 @@ def test_size_validation():
         type2_update(np.zeros(2))
     with pytest.raises(ValueError):
         type4_update(np.zeros(4))
+    # the error names the kernel, the size and the minimum
+    with pytest.raises(ValueError, match=r"rep size 3 must be a power of two >= 2"):
+        rep_update(np.arange(1.0, 4.0))
+    with pytest.raises(ValueError, match=r"type2 size 6 must be a power of two >= 4"):
+        type2_update(np.zeros(6))
+    with pytest.raises(ValueError, match=r"spc size 0 "):
+        spc_update(np.float64(1.0))

@@ -4,12 +4,14 @@ Random frozen masks, node-type sets and iteration counts, with LLRs drawn
 from the values where saturating arithmetic is delicate: zeros, exact
 magnitude ties, +SAT certainty and tiny magnitudes. In min-sum both
 decoders must agree bit for bit with tests/reference_scan.py on all four
-outputs. -SAT inputs are checked for SCAN alone: fast-SCAN's Rate0 kernel
-cannot follow the recursion there (see test_fastscan.py).
+outputs. In exact box-plus fast-SCAN must equal SCAN in value on all
+four outputs. -SAT inputs are checked for SCAN alone: fast-SCAN's Rate0
+kernel cannot follow the recursion there (see test_fastscan.py).
 
 Each node kernel is also checked on its own against a one-iteration SCAN
-over its frozen pattern, and every compiled schedule against the
-partition and maximality rules of schedule.py.
+over its frozen pattern, in value and in both arithmetics, and every
+compiled schedule against the partition and maximality rules of
+schedule.py.
 """
 
 import numpy as np
@@ -86,6 +88,18 @@ def test_scan_and_fast_scan_match_oracle(case, types):
 
 
 @SETTINGS
+@given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
+def test_fast_scan_equals_scan_in_exact_mode(case, types):
+    mask, llrs, iterations = case
+    code = code_from_mask(mask)
+    cfg = ScanConfig(iterations=iterations, arithmetic="exact")
+    want = ScanDecoder(code, cfg).decode(llrs)
+    got = FastScanDecoder(code, cfg, enabled_types=types).decode(llrs)
+    for field in ("leaf_extrinsic", "root_extrinsic", "x_hat", "u_hat"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@SETTINGS
 @given(cases(st.one_of(LLR_VALUES, st.just(-DEFAULT_SAT))))
 def test_scan_matches_oracle_with_negative_certainty(case):
     mask, llrs, iterations = case
@@ -122,10 +136,7 @@ def test_kernel_matches_one_scan_iteration_over_its_pattern(kind, arithmetic, da
     got = _KERNELS[kind](lam, arithmetic)
     code = code_from_mask(pattern(kind, size))
     want = ScanDecoder(code, ScanConfig(iterations=1, arithmetic=arithmetic)).decode(lam).root_extrinsic
-    if arithmetic == "minsum":
-        np.testing.assert_array_equal(got, want)
-    else:
-        assert np.max(np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want)))) <= 1e-9
+    np.testing.assert_array_equal(got, want)
 
 
 @SETTINGS

@@ -14,8 +14,9 @@ from reference_scan import ref_sc
 def test_rate0_all_zero():
     code = code_from_mask([1, 1, 1, 1])
     out = sc_decode(code, np.array([-3.0, 2.0, -1.0, 9.0]))
-    np.testing.assert_array_equal(out["u_hat"], 0)
-    np.testing.assert_array_equal(out["x_hat"], 0)
+    np.testing.assert_array_equal(out.u_hat, 0)
+    np.testing.assert_array_equal(out.x_hat, 0)
+    assert out.leaf_extrinsic is None and out.root_extrinsic is None   # hard decisions only
 
 
 def test_size2_hand_evaluation():
@@ -23,13 +24,13 @@ def test_size2_hand_evaluation():
     # right: g(-1, 4, 0) = 4 + (-1) = 3 > 0 -> u1 = 0
     code = code_from_mask([1, 0])
     out = sc_decode(code, np.array([-1.0, 4.0]))
-    np.testing.assert_array_equal(out["u_hat"], [0, 0])
+    np.testing.assert_array_equal(out.u_hat, [0, 0])
 
 
 def test_noiseless_all_zero_codeword():
     code = build_code(8, 4)
     out = sc_decode(code, np.full(8, 2.0))
-    np.testing.assert_array_equal(out["u_hat"], 0)
+    np.testing.assert_array_equal(out.u_hat, 0)
 
 
 def test_matches_reference_decoder(rng):
@@ -40,8 +41,8 @@ def test_matches_reference_decoder(rng):
             llrs = rng.normal(size=N) * 3.0
             out = sc_decode(code, llrs)
             u_ref, x_ref = ref_sc(code.frozen_mask, llrs)
-            np.testing.assert_array_equal(out["u_hat"], u_ref)
-            np.testing.assert_array_equal(out["x_hat"], x_ref)
+            np.testing.assert_array_equal(out.u_hat, u_ref)
+            np.testing.assert_array_equal(out.x_hat, x_ref)
 
 
 def test_noiseless_recovery(rng):
@@ -54,8 +55,8 @@ def test_noiseless_recovery(rng):
         x = encode(code, insert_info(code, info))
         llrs = np.where(x == 0, SAT, -SAT).astype(float)
         out = sc_decode(code, llrs)
-        np.testing.assert_array_equal(out["x_hat"], x)
-        np.testing.assert_array_equal(out["u_hat"], insert_info(code, info))
+        np.testing.assert_array_equal(out.x_hat, x)
+        np.testing.assert_array_equal(out.u_hat, insert_info(code, info))
 
 
 def test_batch_matches_single(rng):
@@ -64,8 +65,8 @@ def test_batch_matches_single(rng):
     batch = sc_decode(code, llrs)
     for b in range(7):
         single = sc_decode(code, llrs[b])
-        np.testing.assert_array_equal(batch["u_hat"][b], single["u_hat"])
-        np.testing.assert_array_equal(batch["x_hat"][b], single["x_hat"])
+        np.testing.assert_array_equal(batch.u_hat[b], single.u_hat)
+        np.testing.assert_array_equal(batch.x_hat[b], single.x_hat)
 
 
 def test_length_mismatch():
