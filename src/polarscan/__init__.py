@@ -12,17 +12,7 @@ from .codes import (
     insert_info,
 )
 from .fastscan import FastScanDecoder, fast_scan_decode
-from .latency import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    LatencyReport,
-    gain,
-    latency_table,
-    ppc_latency,
-    scan_latency,
-    schedule_latency,
-    sscan_node_latency,
-)
+from .latency import LatencyReport, gain, latency_table, ppc_latency, scan_latency, schedule_latency
 from .product import PpcConfig, PpcOutput, ProductPolarCode, ppc_decode, ppc_encode
 from .scan import MessageMemory, ScanConfig, ScanDecoder, ScanOutput, init_messages, scan_decode
 from .sc import sc_decode, sc_latency
@@ -57,8 +47,7 @@ __all__ = [
     "PolarCode", "bhattacharyya_order", "build_code", "butterfly_transform",
     "encode", "extract_info", "insert_info",
     "FastScanDecoder", "fast_scan_decode",
-    "DEFAULT_COST_MODEL", "CostModel", "LatencyReport", "gain", "latency_table",
-    "ppc_latency", "scan_latency", "schedule_latency", "sscan_node_latency",
+    "LatencyReport", "gain", "latency_table", "ppc_latency", "scan_latency", "schedule_latency",
     "PpcConfig", "PpcOutput", "ProductPolarCode", "ppc_decode", "ppc_encode",
     "MessageMemory", "ScanConfig", "ScanDecoder", "ScanOutput", "init_messages", "scan_decode",
     "sc_decode", "sc_latency",

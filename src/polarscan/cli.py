@@ -12,7 +12,7 @@ import numpy as np
 
 from .codes import build_code, butterfly_transform, encode as encode_op, extract_info, insert_info
 from .fastscan import build_decoder
-from .latency import DEFAULT_COST_MODEL, latency_table, schedule_latency
+from .latency import latency_table, schedule_latency
 from .product import PpcConfig, ProductPolarCode
 from .scan import ScanConfig
 from .schedule import build_schedule, census_csv, node_census, parse_node_types
@@ -130,7 +130,7 @@ def _cmd_census(args):
 def _cmd_schedule(args):
     code = _build_code(args)
     sched = build_schedule(code, parse_node_types(args.node_types))
-    report = schedule_latency(sched, DEFAULT_COST_MODEL)
+    report = schedule_latency(sched)
     payload = {
         "N": code.N,
         "K": code.K,

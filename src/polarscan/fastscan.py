@@ -4,8 +4,8 @@ build_schedule turns each maximal subtree whose frozen pattern matches an
 enabled special node into a leaf. Each leaf compiles to one op that maps
 the node's current demand vector through its closed-form kernel straight
 to its feedback. Output contract and iteration semantics match
-scan_decode, and in min-sum and exact arithmetic alike the outputs of the
-two decoders are equal in value.
+scan_decode; both decoders run the one decode body scan._decode, and in
+min-sum and exact arithmetic alike their outputs are bit-identical.
 
 A pruned subtree never computes its interior messages, so the leaf-level
 extrinsic lam[0] is reconstructed afterwards: a subtree only ever sees the
@@ -19,17 +19,7 @@ import numpy as np
 
 from . import kernels
 from .codes import PolarCode
-from .scan import (
-    MessageMemory,
-    ScanConfig,
-    ScanDecoder,
-    ScanOutput,
-    _compile,
-    _replay_leaves,
-    _run_ops,
-    finalize,
-    init_messages,
-)
+from .scan import MessageMemory, ScanConfig, ScanDecoder, ScanOutput, _compile, _decode
 from .sc import sc_decode
 from .schedule import DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
@@ -48,21 +38,19 @@ _KERNELS = {
 
 
 class FastScanDecoder:
-    """Schedule-driven SCAN decoder; its outputs equal ScanDecoder's in
-    value, in either arithmetic.
+    """Schedule-driven SCAN decoder; its outputs equal ScanDecoder's bit
+    for bit, in either arithmetic.
 
     leaf_extrinsic=False skips the lam[0] reconstruction inside pruned
-    subtrees (the returned leaf_extrinsic is then only valid outside them);
-    useful when only the codeword-side outputs are consumed. For the (128,64)
-    code in exact arithmetic, 2 iterations and 16 frames per call, the
-    reconstruction is about two thirds of the decode time (0.67 in a traced
-    run).
+    subtrees and returns None for leaf_extrinsic; useful when only the
+    codeword-side outputs are consumed. For the (128,64) code in exact
+    arithmetic, 2 iterations and 16 frames per call, the reconstruction is
+    about two thirds of the decode time (0.67 in a traced run).
     """
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None,
                  schedule: DecodingSchedule | None = None,
-                 enabled_types: frozenset = DEFAULT_TYPES,
-                 spc_forced: bool = False, leaf_extrinsic: bool = True):
+                 enabled_types: frozenset = DEFAULT_TYPES, leaf_extrinsic: bool = True):
         self.code = code
         self.cfg = cfg or ScanConfig()
         self.schedule = schedule if schedule is not None else build_schedule(code, enabled_types)
@@ -70,46 +58,35 @@ class FastScanDecoder:
             raise ValueError(f"schedule built for N={self.schedule.N}, code has N={code.N}")
         self.leaf_extrinsic = leaf_extrinsic
         self.memory: MessageMemory | None = None
-        table = {**_KERNELS, NodeType.SPC: lambda lam, arithmetic:
-                 kernels.spc_update_forced(lam, arithmetic)} if spc_forced else _KERNELS
         # stage-0 leaves emit no op: their feedback is the constant beta[0]
-        self._ops = _compile(code.n, {(d.stage, d.index): table[d.kind]
+        self._ops = _compile(code.n, {(d.stage, d.index): _KERNELS[d.kind]
                                       for d in self.schedule.leaves() if d.stage > 0})
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
-        squeeze = np.asarray(channel_llrs).ndim == 1
-        mem = init_messages(self.code, channel_llrs)
-        log = [] if self.leaf_extrinsic else None
-        for _ in range(self.cfg.iterations):
-            _run_ops(self._ops, mem, self.cfg, log)
-        if log:
-            _replay_leaves(self._ops, mem, self.cfg, log)
-        self.memory = mem
-        return finalize(self.code, mem, squeeze)
+        return _decode(self, channel_llrs, self.leaf_extrinsic)
 
 
 def fast_scan_decode(code: PolarCode, channel_llrs: np.ndarray,
                      cfg: ScanConfig | None = None,
                      schedule: DecodingSchedule | None = None,
-                     enabled_types: frozenset = DEFAULT_TYPES,
-                     spc_forced: bool = False) -> ScanOutput:
+                     enabled_types: frozenset = DEFAULT_TYPES) -> ScanOutput:
     """Functional wrapper around FastScanDecoder."""
-    return FastScanDecoder(code, cfg, schedule, enabled_types, spc_forced).decode(channel_llrs)
+    return FastScanDecoder(code, cfg, schedule, enabled_types).decode(channel_llrs)
 
 
 def build_decoder(kind: str, code: PolarCode, cfg: ScanConfig | None = None,
-                  enabled_types: frozenset = DEFAULT_TYPES, spc_forced: bool = False):
+                  enabled_types: frozenset = DEFAULT_TYPES):
     """Map a decoder kind ('sc', 'scan' or 'fast_scan') to a decode callable,
     (batch, N) LLRs -> ScanOutput. SC decides hard, so its soft fields are
     None. Callers read u_hat or root_extrinsic, so fast-SCAN skips the lam[0]
-    replay; construct FastScanDecoder directly for leaf extrinsics."""
+    replay and its leaf_extrinsic is None; construct FastScanDecoder directly
+    for leaf extrinsics."""
     if kind == "sc":
         return lambda llrs: sc_decode(code, llrs)
     if kind == "scan":
         dec = ScanDecoder(code, cfg)
     elif kind == "fast_scan":
-        dec = FastScanDecoder(code, cfg, enabled_types=enabled_types,
-                              spc_forced=spc_forced, leaf_extrinsic=False)
+        dec = FastScanDecoder(code, cfg, enabled_types=enabled_types, leaf_extrinsic=False)
     else:
         raise ValueError(f"unknown decoder kind {kind!r}")
     return lambda llrs: dec.decode(llrs)

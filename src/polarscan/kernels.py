@@ -95,7 +95,7 @@ def spc_update_forced(lam, arithmetic="minsum") -> np.ndarray:
     """Parity-forcing variant: weakest position as in spc_update, every other
     output takes its own input's sign. The a-posteriori hard decisions then
     always satisfy the parity check, but the output is no longer extrinsic,
-    so this kernel is opt-in and excluded from equivalence guarantees."""
+    so no decoder uses this kernel; acceptance criterion 5 checks its parity."""
     lam = np.asarray(lam, dtype=float)
     base = spc_update(lam, arithmetic)
     absl = np.abs(lam)

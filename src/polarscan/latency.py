@@ -1,10 +1,11 @@
 """Clock-cycle accounting for SCAN, fast-SCAN schedules, and product codes.
 
 The cost model charges message computation per tree edge and per kernel:
-descending into an internal node costs one demand pair (4 cycles), the
-demand into a kernel leaf costs 2, constant leaves (Rate0/Rate1 at stage
->= 1) are free, every kernel evaluation costs 2, and the root feedback
-costs 2. Stage-0 leaf edges cost 2, which makes an unpruned schedule cost
+descending into an internal node costs one demand pair (INTERNAL_EDGE = 4
+cycles), the demand into a kernel leaf costs KERNEL_LEAF_EDGE = 2, constant
+leaves (Rate0/Rate1 at stage >= 1) are free, every kernel evaluation costs
+KERNEL_COST = 2, and the root feedback costs ROOT_COST = 2. Stage-0 leaf
+edges cost LEAF_STAGE0_EDGE = 2, which makes an unpruned schedule cost
 exactly the flat-SCAN figure 6(N-1).
 """
 
@@ -12,23 +13,11 @@ from dataclasses import dataclass
 
 from .schedule import CONSTANT_TYPES, DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
-
-@dataclass(frozen=True)
-class CostModel:
-    internal_edge: int = 4
-    leaf_stage0_edge: int = 2
-    constant_leaf_edge: int = 0
-    kernel_leaf_edge: int = 2
-    kernel_cost: int = 2
-    root_cost: int = 2
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value < 0 or int(value) != value:
-                raise ValueError(f"{name} must be a non-negative integer")
-
-
-DEFAULT_COST_MODEL = CostModel()
+INTERNAL_EDGE = 4
+LEAF_STAGE0_EDGE = 2
+KERNEL_LEAF_EDGE = 2
+KERNEL_COST = 2
+ROOT_COST = 2
 
 
 @dataclass(frozen=True)
@@ -43,20 +32,7 @@ def scan_latency(N: int) -> int:
     return 6 * (N - 1)
 
 
-def sscan_node_latency(kind: NodeType, t: int) -> int:
-    """Per-node cycles when a special node is still decoded as a subtree
-    with only constant-node shortcuts: Spc/Rep need 4(t-1)+2, TypeI/TypeIII
-    4(t-2)+2, constants are instantaneous."""
-    if kind in CONSTANT_TYPES:
-        return 0
-    if kind in (NodeType.SPC, NodeType.REP):
-        return 4 * (t - 1) + 2
-    if kind in (NodeType.TYPE_I, NodeType.TYPE_III):
-        return 4 * (t - 2) + 2
-    raise ValueError(f"no subtree-latency formula for {kind}")
-
-
-def schedule_latency(schedule: DecodingSchedule, model: CostModel = DEFAULT_COST_MODEL) -> LatencyReport:
+def schedule_latency(schedule: DecodingSchedule) -> LatencyReport:
     """Cycle count of one fast-SCAN iteration over a compiled schedule."""
     breakdown = []
     total = 0
@@ -64,17 +40,17 @@ def schedule_latency(schedule: DecodingSchedule, model: CostModel = DEFAULT_COST
         cycles = 0
         is_root = pos == 0
         if d.kind is NodeType.INTERNAL:
-            cycles += 0 if is_root else model.internal_edge
+            cycles += 0 if is_root else INTERNAL_EDGE
         elif d.kind in CONSTANT_TYPES:
-            if not is_root:
-                cycles += model.leaf_stage0_edge if d.stage == 0 else model.constant_leaf_edge
+            if not is_root and d.stage == 0:
+                cycles += LEAF_STAGE0_EDGE
         else:
-            cycles += 0 if is_root else model.kernel_leaf_edge
-            cycles += model.kernel_cost
+            cycles += 0 if is_root else KERNEL_LEAF_EDGE
+            cycles += KERNEL_COST
         breakdown.append((d, cycles))
         total += cycles
-    total += model.root_cost
-    breakdown.append(("root", model.root_cost))
+    total += ROOT_COST
+    breakdown.append(("root", ROOT_COST))
     N = schedule.N
     return LatencyReport(
         total_cycles=total,
@@ -93,12 +69,11 @@ def ppc_latency(row_cycles: int, col_cycles: int, half_iteration_pairs: int) -> 
     return half_iteration_pairs * (row_cycles + col_cycles)
 
 
-def latency_table(codes, enabled_types=None, model: CostModel = DEFAULT_COST_MODEL):
+def latency_table(codes, enabled_types=DEFAULT_TYPES):
     """Rows of (label, scan_cycles, fast_cycles, gain_percent) for PolarCodes."""
-    types = DEFAULT_TYPES if enabled_types is None else enabled_types
     rows = []
     for code in codes:
-        fast = schedule_latency(build_schedule(code, types), model).total_cycles
+        fast = schedule_latency(build_schedule(code, enabled_types)).total_cycles
         scan = scan_latency(code.N)
         rows.append((f"({code.N},{code.K})", scan, fast, gain(scan, fast)))
     return rows

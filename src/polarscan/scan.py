@@ -36,6 +36,7 @@ executes one iteration in a plain loop; the f(a, bl) of each node whose
 right subtree is running waits on a stack, as the ops nest. SCAN is this
 executor over the unpruned tree, whose stage-0 leaves emit no op as beta[0]
 never changes; fast-SCAN (fastscan.py) runs it over a pruned schedule.
+Both decoders share one decode body, _decode.
 """
 
 from dataclasses import dataclass
@@ -176,16 +177,41 @@ def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -
         del local   # free this group's memory before the next is allocated
 
 
-def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool) -> ScanOutput:
-    """Hard decisions from channel + root feedback; ties decide 0."""
+def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
+             leaf_extrinsic: bool = True) -> ScanOutput:
+    """Hard decisions from channel + root feedback; ties decide 0. The soft
+    outputs are C-contiguous copies in which every zero is +0.0, so decoders
+    that agree in value agree bit for bit; leaf_extrinsic=False returns None
+    in its place."""
+    rows = 0 if squeeze else slice(None)
     ap = sat_add(mem.lam[code.n], mem.beta[code.n])
     x_hat = np.ascontiguousarray(ap < 0, dtype=np.uint8)   # ap is frame-last like mem
     u_hat = butterfly_transform(x_hat)
-    leaf = mem.lam[0].copy()
-    root = mem.beta[code.n].copy()
-    if squeeze:
-        leaf, root, u_hat, x_hat = leaf[0], root[0], u_hat[0], x_hat[0]
-    return ScanOutput(leaf_extrinsic=leaf, root_extrinsic=root, u_hat=u_hat, x_hat=x_hat)
+    leaf = _soft_output(mem.lam[0][rows]) if leaf_extrinsic else None
+    root = _soft_output(mem.beta[code.n][rows])
+    return ScanOutput(leaf_extrinsic=leaf, root_extrinsic=root, u_hat=u_hat[rows], x_hat=x_hat[rows])
+
+
+def _soft_output(x: np.ndarray) -> np.ndarray:
+    out = x.copy()   # C order; x + 0.0 would keep the frame-last layout
+    out += 0.0       # -0.0 + 0.0 == +0.0
+    return out
+
+
+def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
+    """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
+    cfg.iterations runs of dec._ops, the replay of lam[0] inside kernel
+    leaves when leaf_extrinsic is set, then finalize. Keeps the memory on dec."""
+    squeeze = np.asarray(channel_llrs).ndim == 1
+    cfg = dec.cfg
+    mem = init_messages(dec.code, channel_llrs)
+    log = [] if leaf_extrinsic else None
+    for _ in range(cfg.iterations):
+        _run_ops(dec._ops, mem, cfg, log)
+    if log:
+        _replay_leaves(dec._ops, mem, cfg, log)
+    dec.memory = mem
+    return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 
 
 class ScanDecoder:
@@ -198,13 +224,7 @@ class ScanDecoder:
         self._ops = _unpruned_ops(code.n)
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
-        squeeze = np.asarray(channel_llrs).ndim == 1
-        cfg = self.cfg
-        mem = init_messages(self.code, channel_llrs)
-        for _ in range(cfg.iterations):
-            _run_ops(self._ops, mem, cfg)
-        self.memory = mem
-        return finalize(self.code, mem, squeeze)
+        return _decode(self, channel_llrs, True)
 
 
 def scan_decode(code: PolarCode, channel_llrs: np.ndarray, cfg: ScanConfig | None = None) -> ScanOutput:

@@ -34,11 +34,12 @@ class DecoderSpec:
     iterations: int = 1
     arithmetic: str = "minsum"
     node_types: frozenset = DEFAULT_TYPES
-    spc_forced: bool = False
 
     def __post_init__(self):
         if self.kind not in ("sc", "scan", "fast_scan"):
             raise ValueError(f"unknown decoder kind {self.kind!r}")
+        # checked here, not first in a pool initializer, which would respawn forever
+        ScanConfig(iterations=self.iterations, arithmetic=self.arithmetic)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class SimResult:
 
 def _polar_runner(code: PolarCode, spec: DecoderSpec):
     cfg = ScanConfig(iterations=spec.iterations, arithmetic=spec.arithmetic)
-    decoder = build_decoder(spec.kind, code, cfg, spec.node_types, spec.spc_forced)
+    decoder = build_decoder(spec.kind, code, cfg, spec.node_types)
 
     def run(point_idx, chunk_idx, ebn0_db, seed, frames):
         rng = np.random.default_rng([seed, point_idx, chunk_idx])

@@ -12,10 +12,9 @@ from polarscan import (
     build_code,
     build_schedule,
     fast_scan_decode,
-    init_messages,
     scan_decode,
 )
-from polarscan import fastscan, scan
+from polarscan import scan
 from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
 
@@ -78,12 +77,14 @@ def test_schedule_code_mismatch():
 
 
 def test_leaf_extrinsic_flag(rng):
-    # skipping the leaf-extrinsic reconstruction leaves the other outputs intact
+    # skipping the leaf-extrinsic reconstruction returns None for it and
+    # leaves the other outputs intact
     code = build_code(32, 20)
     llrs = rng.normal(size=(8, 32)) * 2.0
     cfg = ScanConfig(iterations=2)
     full = scan_decode(code, llrs, cfg)
     fast = FastScanDecoder(code, cfg, leaf_extrinsic=False).decode(llrs)
+    assert fast.leaf_extrinsic is None
     np.testing.assert_array_equal(fast.root_extrinsic, full.root_extrinsic)
     np.testing.assert_array_equal(fast.u_hat, full.u_hat)
     np.testing.assert_array_equal(fast.x_hat, full.x_hat)
@@ -102,30 +103,12 @@ def test_leaf_replay_runs_once_per_stage(monkeypatch, rng, N, K, calls):
         return run_ops(*args, **kwargs)
 
     monkeypatch.setattr(scan, "_run_ops", counting)
-    monkeypatch.setattr(fastscan, "_run_ops", counting)
     dec.decode(rng.normal(size=(4, N)))
     assert len(seen) == 2 * (1 + len(stages)) == calls
 
 
 def _bits(x):
     return np.asarray(x).view(np.int64)
-
-
-def _leaf_by_leaf_replay(dec, llrs):
-    """fast-SCAN's lam[0], each kernel leaf replayed on its own: a local SCAN
-    of the leaf's subtree run on the demands logged for that leaf."""
-    mem, log = init_messages(dec.code, llrs), []
-    for _ in range(dec.cfg.iterations):
-        scan._run_ops(dec._ops, mem, dec.cfg, log)
-    leaves = [a for op, a, *_ in dec._ops if op == scan._LEAF]
-    for s, (t, _, span) in enumerate(leaves):
-        local = scan._zero_memory(t, mem.lam.shape[1])
-        local.beta[0] = mem.beta[0][:, span]
-        for demand in log[s::len(leaves)]:
-            local.lam[t] = demand
-            scan._run_ops(scan._unpruned_ops(t), local, dec.cfg)
-        mem.lam[0][:, span] = local.lam[0]
-    return mem.lam[0]
 
 
 @pytest.mark.parametrize("iters", (1, 3))
@@ -145,23 +128,6 @@ def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, batch, iters):
         dec = FastScanDecoder(code, cfg, **kw)
         np.testing.assert_array_equal(_bits(dec.decode(llrs).leaf_extrinsic), _bits(want))
         np.testing.assert_array_equal(_bits(dec.memory.lam[0]), _bits(full.memory.lam[0]))
-    # forced SPC parity departs from SCAN; its reference is the one-leaf replay,
-    # as costly as SCAN, so it runs where each leaf logs several demands
-    if iters == 1:
-        return
-    dec = FastScanDecoder(code, cfg, spc_forced=True)
-    got = dec.decode(llrs).leaf_extrinsic
-    want = _leaf_by_leaf_replay(dec, llrs)
-    np.testing.assert_array_equal(_bits(dec.memory.lam[0]), _bits(want))
-    np.testing.assert_array_equal(_bits(got), _bits(want[0] if batch == 1 else want))
-
-
-def test_spc_forced_changes_output(rng):
-    code = build_code(64, 57)  # Spc-heavy schedule
-    llrs = rng.normal(size=(64, 64)) * 1.0
-    plain = FastScanDecoder(code).decode(llrs)
-    forced = FastScanDecoder(code, spc_forced=True).decode(llrs)
-    assert not np.array_equal(plain.root_extrinsic, forced.root_extrinsic)
 
 
 def test_determinism(rng):

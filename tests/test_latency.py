@@ -1,12 +1,8 @@
 """Cycle accounting for flat SCAN, compiled schedules, and product codes."""
 
-import pytest
-
 from polarscan import (
-    CostModel,
     DEFAULT_TYPES,
     KERNEL_TYPES,
-    NodeType,
     build_code,
     build_schedule,
     gain,
@@ -14,7 +10,6 @@ from polarscan import (
     ppc_latency,
     scan_latency,
     schedule_latency,
-    sscan_node_latency,
 )
 from polarscan.schedule import CONSTANT_TYPES
 
@@ -73,19 +68,6 @@ def test_unpruned_schedule_equals_flat_scan():
         assert report.gain_vs_scan == 0.0
 
 
-def test_sscan_node_latency():
-    assert sscan_node_latency(NodeType.SPC, 3) == 10
-    assert sscan_node_latency(NodeType.REP, 3) == 10
-    assert sscan_node_latency(NodeType.TYPE_I, 2) == 2
-    assert sscan_node_latency(NodeType.TYPE_III, 2) == 2
-    assert sscan_node_latency(NodeType.RATE0, 5) == 0
-    assert sscan_node_latency(NodeType.RATE1, 5) == 0
-    with pytest.raises(ValueError):
-        sscan_node_latency(NodeType.INTERNAL, 3)
-    with pytest.raises(ValueError):
-        sscan_node_latency(NodeType.TYPE_II, 3)
-
-
 def test_gain():
     assert gain(6138, 338) == 94.5
     assert gain(762, 50) == 93.4
@@ -111,13 +93,6 @@ def test_breakdown_sums_to_total():
     assert sum(c for _, c in report.per_node) == report.total_cycles
     assert report.per_node[-1][0] == "root"
     assert report.per_node[-1][1] == 2
-
-
-def test_cost_model_validation():
-    with pytest.raises(ValueError):
-        CostModel(internal_edge=-1)
-    with pytest.raises(ValueError):
-        CostModel(kernel_cost=1.5)
 
 
 def test_latency_table_rows():

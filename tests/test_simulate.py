@@ -83,6 +83,14 @@ def test_invalid_inputs():
         run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), max_frames=0)
 
 
+def test_invalid_decoder_settings_fail_before_workers_start():
+    # the spec is checked where it is made: raised in a pool initializer
+    # instead, the pool respawned the failing worker forever
+    for kw in ({"iterations": 0}, {"arithmetic": "float"}):
+        with pytest.raises(ValueError):
+            DecoderSpec(kind="scan", **kw)
+
+
 def test_ppc_sim_determinism():
     code = build_code(16, 11)
     ppc = ProductPolarCode(row_code=code, col_code=code)
