@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .codes import PolarCode
-from .scan import MessageMemory, ScanConfig, ScanDecoder, ScanOutput, _compile, _decode
+from .scan import ScanConfig, ScanDecoder, ScanOutput, _compile, _decode
 from .sc import sc_decode
 from .schedule import DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
@@ -54,10 +54,9 @@ class FastScanDecoder:
         self.code = code
         self.cfg = cfg or ScanConfig()
         self.schedule = schedule if schedule is not None else build_schedule(code, enabled_types)
-        if self.schedule.N != code.N:
-            raise ValueError(f"schedule built for N={self.schedule.N}, code has N={code.N}")
+        if schedule is not None and schedule != build_schedule(code, schedule.enabled_types):
+            raise ValueError(f"schedule was not built for the ({code.N},{code.K}) code's frozen mask")
         self.leaf_extrinsic = leaf_extrinsic
-        self.memory: MessageMemory | None = None
         # stage-0 leaves emit no op: their feedback is the constant beta[0]
         self._ops = _compile(code.n, {(d.stage, d.index): _KERNELS[d.kind]
                                       for d in self.schedule.leaves() if d.stage > 0})

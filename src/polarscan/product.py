@@ -3,7 +3,7 @@
 A codeword is an N_c x N_r bit matrix whose every row belongs to the row
 code and every column to the column code. Decoding alternates row and
 column half-iterations; each half runs the component soft decoder on
-channel LLRs plus the scaled extrinsic from the other dimension and stores
+channel LLRs plus the extrinsic from the other dimension and stores
 the decoder's root feedback as the new extrinsic. Decoding stops early
 when the combined hard decision re-encodes cleanly in both dimensions.
 """
@@ -49,7 +49,6 @@ class ProductPolarCode:
 class PpcConfig:
     half_iteration_pairs: int = 8
     inner_scan_iterations: int = 1
-    extrinsic_scale: float = 1.0
     arithmetic: str = "minsum"
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class PpcConfig:
             raise ValueError("half_iteration_pairs must be >= 1")
         if self.inner_scan_iterations < 1:
             raise ValueError("inner_scan_iterations must be >= 1")
-        if not 0.0 < self.extrinsic_scale <= 1.0:
-            raise ValueError("extrinsic_scale must be in (0, 1]")
         combiner(self.arithmetic)
 
 
@@ -136,9 +133,9 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        rows_in = (llrs[idx] + cfg.extrinsic_scale * e_col[idx]).reshape(-1, N_r)
+        rows_in = (llrs[idx] + e_col[idx]).reshape(-1, N_r)
         e_row[idx] = row_dec(rows_in).root_extrinsic.reshape(-1, N_c, N_r)
-        cols_in = np.swapaxes(llrs[idx] + cfg.extrinsic_scale * e_row[idx], -1, -2).reshape(-1, N_c)
+        cols_in = np.swapaxes(llrs[idx] + e_row[idx], -1, -2).reshape(-1, N_c)
         e_col[idx] = np.swapaxes(
             col_dec(cols_in).root_extrinsic.reshape(-1, N_r, N_c), -1, -2)
 

@@ -15,7 +15,7 @@ N) all the same.
 
 lam[n] is the (clamped) channel LLR vector and is never modified; beta[0]
 is +SAT at frozen leaf positions and 0 elsewhere and is never modified.
-All other entries start at 0 and persist across iterations.
+All other entries start at 0 and persist across one decode's iterations.
 
 Per node of half-size h, with a = lam_t[:h], b = lam_t[h:], bl/br the
 children's beta:
@@ -62,8 +62,8 @@ class ScanConfig:
 
 @dataclass
 class MessageMemory:
-    """Persistent lam/beta arrays, shape (n+1, batch, N) each, frames last in
-    memory (see the module docstring)."""
+    """One decode's lam/beta arrays, shape (n+1, batch, N) each, frames last
+    in memory (see the module docstring); they persist across its iterations."""
 
     lam: np.ndarray
     beta: np.ndarray
@@ -201,7 +201,7 @@ def _soft_output(x: np.ndarray) -> np.ndarray:
 def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
     cfg.iterations runs of dec._ops, the replay of lam[0] inside kernel
-    leaves when leaf_extrinsic is set, then finalize. Keeps the memory on dec."""
+    leaves when leaf_extrinsic is set, then finalize; nothing is kept on dec."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
@@ -210,17 +210,15 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
         _run_ops(dec._ops, mem, cfg, log)
     if log:
         _replay_leaves(dec._ops, mem, cfg, log)
-    dec.memory = mem
     return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 
 
 class ScanDecoder:
-    """Full-tree SCAN decoder; keeps its MessageMemory for inspection."""
+    """Full-tree SCAN decoder; it keeps no messages between decodes."""
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        self.memory: MessageMemory | None = None
         self._ops = _unpruned_ops(code.n)
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:

@@ -110,18 +110,23 @@ class DecodingSchedule:
         )
 
 
+def _checked_types(enabled_types) -> frozenset:
+    """enabled_types plus Rate0/Rate1; raises naming each entry not a special NodeType."""
+    bad = frozenset(enabled_types) - KERNEL_TYPES
+    if bad:
+        raise ValueError(f"not special node types (NodeType, not INTERNAL): {sorted(map(repr, bad))}")
+    return frozenset(enabled_types) | CONSTANT_TYPES
+
+
 def build_schedule(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) -> DecodingSchedule:
     """Compile the pruned decoding tree for a code's frozen mask."""
-    enabled = frozenset(enabled_types) | CONSTANT_TYPES
+    enabled = _checked_types(enabled_types)
     mask = code.frozen_mask
     nodes = []
 
     def rec(t, i):
         size = 1 << t
-        kind = classify(mask[i * size:(i + 1) * size], enabled)
-        if kind is NodeType.INTERNAL and t == 0:
-            # a stage-0 leaf is a single position, always Rate0 or Rate1
-            kind = NodeType.RATE0 if mask[i] else NodeType.RATE1
+        kind = classify(mask[i * size:(i + 1) * size], enabled)   # stage 0 is Rate0 or Rate1
         nodes.append(NodeDescriptor(stage=t, index=i, kind=kind))
         if kind is NodeType.INTERNAL:
             rec(t - 1, 2 * i)

@@ -86,5 +86,4 @@ def subcode_order(seq: ReliabilitySequence, N: int) -> np.ndarray:
         raise ValueError(f"N={N} is not a power of two")
     if N > seq.n_max:
         raise ValueError(f"N={N} exceeds sequence N_max={seq.n_max}")
-    order = seq.universal_order[seq.universal_order < N]
-    return order.copy()
+    return seq.universal_order[seq.universal_order < N]   # a copy: boolean indexing

@@ -21,7 +21,7 @@ from .codes import PolarCode, encode, extract_info, insert_info
 from .fastscan import build_decoder
 from .product import PpcConfig, ProductPolarCode, ppc_decode, ppc_encode
 from .scan import ScanConfig
-from .schedule import DEFAULT_TYPES
+from .schedule import DEFAULT_TYPES, _checked_types
 
 CHUNK_FRAMES = 256
 
@@ -40,6 +40,7 @@ class DecoderSpec:
             raise ValueError(f"unknown decoder kind {self.kind!r}")
         # checked here, not first in a pool initializer, which would respawn forever
         ScanConfig(iterations=self.iterations, arithmetic=self.arithmetic)
+        _checked_types(self.node_types)
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,7 @@ class SimPoint:
         return self.block_errors / self.frames if self.frames else 0.0
 
     def bler_ber(self, K: int):
-        if self.frames == 0:
-            return 0.0, 0.0
-        return self.block_errors / self.frames, self.bit_errors / (self.frames * K)
+        return self.bler, (self.bit_errors / (self.frames * K) if self.frames else 0.0)
 
 
 @dataclass
@@ -137,6 +136,8 @@ def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: in
         raise ValueError("empty SNR list")
     if max_frames <= 0:
         raise ValueError("max_frames must be positive")
+    if chunk_frames < 1:
+        raise ValueError("chunk_frames must be positive")
     start = time.perf_counter()
 
     pool = None

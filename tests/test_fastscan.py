@@ -74,6 +74,10 @@ def test_schedule_code_mismatch():
     sched = build_schedule(build_code(16, 8))
     with pytest.raises(ValueError):
         FastScanDecoder(build_code(32, 16), schedule=sched)
+    # same N, another frozen mask: the schedule would run the wrong kernels
+    with pytest.raises(ValueError, match=r"\(64,40\)"):
+        FastScanDecoder(build_code(64, 40), schedule=build_schedule(build_code(64, 32)))
+    FastScanDecoder(build_code(64, 32), schedule=build_schedule(build_code(64, 32)))
 
 
 def test_leaf_extrinsic_flag(rng):
@@ -113,7 +117,7 @@ def _bits(x):
 
 @pytest.mark.parametrize("iters", (1, 3))
 @pytest.mark.parametrize("batch", (1, 8))
-def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, batch, iters):
+def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, final_memory, batch, iters):
     # (1024,512) min-sum replays 34 stage-2 leaves as one group, and the stages
     # alternate in visit order, so a leaf written to the wrong frame rows shows
     code = build_code(1024, 512)
@@ -124,10 +128,11 @@ def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, batch, iters):
     llrs = llrs[0] if batch == 1 else llrs
     full = ScanDecoder(code, cfg)
     want = full.decode(llrs).leaf_extrinsic
+    full_mem = final_memory[-1]
     for kw in ({}, {"enabled_types": KERNEL_TYPES}):
         dec = FastScanDecoder(code, cfg, **kw)
         np.testing.assert_array_equal(_bits(dec.decode(llrs).leaf_extrinsic), _bits(want))
-        np.testing.assert_array_equal(_bits(dec.memory.lam[0]), _bits(full.memory.lam[0]))
+        np.testing.assert_array_equal(_bits(final_memory[-1].lam[0]), _bits(full_mem.lam[0]))
 
 
 def test_determinism(rng):

@@ -126,10 +126,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PpcConfig(half_iteration_pairs=0)
     with pytest.raises(ValueError):
-        PpcConfig(extrinsic_scale=0.0)
-    with pytest.raises(ValueError):
-        PpcConfig(extrinsic_scale=1.5)
-    with pytest.raises(ValueError):
         PpcConfig(arithmetic="approx")
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,14 +83,40 @@ def test_oracle_with_saturated_inputs(rng):
     np.testing.assert_array_equal(out.leaf_extrinsic, ref["lam0"])
 
 
-def test_channel_and_priors_untouched(rng):
+def test_channel_and_priors_untouched(rng, final_memory):
     code = build_code(16, 7)
     llrs = rng.normal(size=(3, 16))
     dec = ScanDecoder(code, ScanConfig(iterations=3))
     dec.decode(llrs)
-    np.testing.assert_array_equal(dec.memory.lam[code.n], llrs)
+    mem, = final_memory
+    np.testing.assert_array_equal(mem.lam[code.n], llrs)
     expected = np.where(code.frozen_mask, SAT, 0.0)
-    np.testing.assert_array_equal(dec.memory.beta[0], np.broadcast_to(expected, (3, 16)))
+    np.testing.assert_array_equal(mem.beta[0], np.broadcast_to(expected, (3, 16)))
+
+
+@pytest.mark.parametrize("decoder, kw", [
+    (ScanDecoder, {}),
+    (FastScanDecoder, {"leaf_extrinsic": True}),
+    (FastScanDecoder, {"leaf_extrinsic": False}),
+])
+def test_messages_are_freed_when_decode_returns(rng, final_memory, decoder, kw):
+    # by reference counts alone, with the collector off: a decoder that kept
+    # them would hold a second message set while the next decode allocates
+    code = build_code(64, 32)
+    dec = decoder(code, ScanConfig(iterations=2), **kw)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = dec.decode(rng.normal(size=(4, 64)))   # kept: outputs view no message
+        mem, = final_memory
+        refs = [weakref.ref(mem.lam.base), weakref.ref(mem.beta.base)]
+        del mem
+        final_memory.clear()
+        assert all(ref() is None for ref in refs)
+        del out
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_deterministic(rng):
@@ -149,7 +178,7 @@ def test_config_and_input_validation():
 
 @pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("decoder", [ScanDecoder, FastScanDecoder])
-def test_messages_are_frame_last_and_outputs_contiguous(rng, decoder, single):
+def test_messages_are_frame_last_and_outputs_contiguous(rng, final_memory, decoder, single):
     # Each node slice lam[t][:, lo:hi] is one contiguous block only while the
     # (n+1, batch, N) arrays are views of C-ordered (n+1, N, batch) buffers.
     code = build_code(64, 32)
@@ -157,7 +186,8 @@ def test_messages_are_frame_last_and_outputs_contiguous(rng, decoder, single):
     dec = decoder(code, ScanConfig(iterations=2))
     out = dec.decode(llrs)
     batch = 1 if single else 5
-    for arr in (dec.memory.lam, dec.memory.beta):
+    mem, = final_memory
+    for arr in (mem.lam, mem.beta):
         assert arr.shape == (code.n + 1, batch, code.N)
         for t in range(code.n + 1):
             assert arr[t].T.shape == (code.N, batch) and arr[t].T.flags.c_contiguous

@@ -176,3 +176,14 @@ def test_parse_node_types():
     assert parse_node_types("rate0") == CONSTANT_TYPES
     with pytest.raises(ValueError):
         parse_node_types("rep,bogus")
+
+
+def test_build_schedule_rejects_entries_that_are_not_node_types():
+    # the string "spc" never equals NodeType.SPC: unchecked, it pruned nothing
+    code = build_code(64, 32)
+    with pytest.raises(ValueError, match="'spc'"):
+        build_schedule(code, frozenset({"spc"}))
+    with pytest.raises(ValueError, match="INTERNAL"):
+        build_schedule(code, DEFAULT_TYPES | {NodeType.INTERNAL})
+    assert build_schedule(code, frozenset()).node_count == 47
+    assert build_schedule(code, DEFAULT_TYPES).node_count == 13

@@ -81,12 +81,14 @@ def test_invalid_inputs():
         run_sim(code, spec, ChannelConfig(ebn0_db=(), seed=1))
     with pytest.raises(ValueError):
         run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), max_frames=0)
+    with pytest.raises(ValueError, match="chunk_frames"):
+        run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), max_frames=64, chunk_frames=0)
 
 
 def test_invalid_decoder_settings_fail_before_workers_start():
     # the spec is checked where it is made: raised in a pool initializer
     # instead, the pool respawned the failing worker forever
-    for kw in ({"iterations": 0}, {"arithmetic": "float"}):
+    for kw in ({"iterations": 0}, {"arithmetic": "float"}, {"node_types": frozenset({"spc"})}):
         with pytest.raises(ValueError):
             DecoderSpec(kind="scan", **kw)
 
