@@ -14,7 +14,13 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     """Per-dimension noise std for unit-energy BPSK at a given Eb/N0."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
+    try:
+        sigma = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
+    except (ZeroDivisionError, OverflowError):   # 10 ** (ebn0_db / 10) underflowed or overflowed
+        sigma = 0.0
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"Eb/N0 of {ebn0_db!r} dB gives no finite noise sigma > 0")
+    return sigma
 
 
 def channel_llrs(received, sigma: float) -> np.ndarray:

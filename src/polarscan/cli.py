@@ -7,10 +7,11 @@ simulate, ppc-simulate. Everything prints to stdout unless --out is given.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .codes import build_code, butterfly_transform, encode as encode_op, extract_info, insert_info
+from .codes import build_code, encode as encode_op, extract_info, insert_info
 from .fastscan import build_decoder
 from .latency import latency_table, schedule_latency
 from .product import PpcConfig, ProductPolarCode
@@ -83,14 +84,14 @@ def _cmd_decode(args):
     code = _build_code(args)
     if args.llrs is None and args.llr_file is None:
         raise ValueError("decode needs --llrs or --llr-file")
-    llrs = _parse_floats(open(args.llr_file).read() if args.llr_file else args.llrs)
+    llrs = _parse_floats(Path(args.llr_file).read_text() if args.llr_file else args.llrs)
     cfg = ScanConfig(iterations=args.iters, arithmetic=args.arith)
     decode = build_decoder(args.decoder, code, cfg, parse_node_types(args.node_types))
-    u_hat = decode(llrs).u_hat
+    out = decode(llrs)
     payload = {
-        "u_hat": u_hat.astype(int).tolist(),
-        "x_hat": butterfly_transform(u_hat).astype(int).tolist(),
-        "info": extract_info(code, u_hat).astype(int).tolist(),
+        "u_hat": out.u_hat.astype(int).tolist(),
+        "x_hat": out.x_hat.astype(int).tolist(),
+        "info": extract_info(code, out.u_hat).astype(int).tolist(),
     }
     _emit(json.dumps(payload) + "\n", args.out)
 

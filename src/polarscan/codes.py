@@ -1,14 +1,14 @@
 """Polar code construction and encoding.
 
-A code is (N=2^n, K) with a frozen mask over bit-channel indices. The
-N-K least reliable indices are frozen; reliability comes either from the
-shipped 5G sequence or from a Bhattacharyya-parameter recursion. Encoding
+A code is its frozen mask over the N=2^n bit-channel indices, which fixes
+n, N and K. build_code freezes the N-K least reliable indices, ranked by
+the shipped 5G sequence or a Bhattacharyya-parameter recursion. Encoding
 is the n-stage XOR butterfly x = u * G2^(kron n), which is its own inverse
 over GF(2).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,15 +17,18 @@ from .sequences import ReliabilitySequence, default_sequence, subcode_order
 
 @dataclass(frozen=True)
 class PolarCode:
-    n: int
-    N: int
-    K: int
-    frozen_mask: np.ndarray          # bool, True = frozen
-    reliability_order: np.ndarray    # ascending reliability, most reliable last
+    frozen_mask: np.ndarray   # any 1-D bool sequence, True = frozen; kept as a read-only copy
+    n: int = field(init=False)
+    N: int = field(init=False)
+    K: int = field(init=False)
 
     def __post_init__(self):
-        self.frozen_mask.flags.writeable = False
-        self.reliability_order.flags.writeable = False
+        mask = np.array(self.frozen_mask, dtype=bool)
+        if mask.ndim != 1:
+            raise ValueError(f"frozen mask must be 1-D, got shape {mask.shape}")
+        mask.flags.writeable = False
+        K = mask.size - int(mask.sum())
+        vars(self).update(frozen_mask=mask, n=_check_dims(mask.size, K), N=mask.size, K=K)
 
     @property
     def info_positions(self) -> np.ndarray:
@@ -72,7 +75,7 @@ def build_code(N: int, K: int, method: str = "5g",
                seq: ReliabilitySequence | None = None,
                design_snr_db: float = 0.0) -> PolarCode:
     """Construct a PolarCode with the N-K least reliable indices frozen."""
-    n = _check_dims(N, K)
+    _check_dims(N, K)
     if method == "5g":
         order = subcode_order(seq if seq is not None else default_sequence(), N)
     elif method == "bhattacharyya":
@@ -81,7 +84,7 @@ def build_code(N: int, K: int, method: str = "5g",
         raise ValueError(f"unknown construction method {method!r}")
     mask = np.zeros(N, dtype=bool)
     mask[order[: N - K]] = True
-    return PolarCode(n=n, N=N, K=K, frozen_mask=mask, reliability_order=order)
+    return PolarCode(mask)
 
 
 def butterfly_transform(u: np.ndarray) -> np.ndarray:

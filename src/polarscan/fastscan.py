@@ -41,6 +41,9 @@ class FastScanDecoder:
     """Schedule-driven SCAN decoder; its outputs equal ScanDecoder's bit
     for bit, in either arithmetic.
 
+    enabled_types=None prunes the given schedule's types, or DEFAULT_TYPES
+    without one; a schedule unlike build_schedule(code, enabled_types) raises.
+
     leaf_extrinsic=False skips the lam[0] reconstruction inside pruned
     subtrees and returns None for leaf_extrinsic; useful when only the
     codeword-side outputs are consumed. For the (128,64) code in exact
@@ -50,12 +53,14 @@ class FastScanDecoder:
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None,
                  schedule: DecodingSchedule | None = None,
-                 enabled_types: frozenset = DEFAULT_TYPES, leaf_extrinsic: bool = True):
+                 enabled_types: frozenset | None = None, leaf_extrinsic: bool = True):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        self.schedule = schedule if schedule is not None else build_schedule(code, enabled_types)
-        if schedule is not None and schedule != build_schedule(code, schedule.enabled_types):
-            raise ValueError(f"schedule was not built for the ({code.N},{code.K}) code's frozen mask")
+        if enabled_types is None:
+            enabled_types = DEFAULT_TYPES if schedule is None else schedule.enabled_types
+        self.schedule = build_schedule(code, enabled_types)
+        if schedule is not None and schedule != self.schedule:
+            raise ValueError(f"schedule is not build_schedule(code, enabled_types) for the ({code.N},{code.K}) code")
         self.leaf_extrinsic = leaf_extrinsic
         # stage-0 leaves emit no op: their feedback is the constant beta[0]
         self._ops = _compile(code.n, {(d.stage, d.index): _KERNELS[d.kind]
@@ -66,11 +71,9 @@ class FastScanDecoder:
 
 
 def fast_scan_decode(code: PolarCode, channel_llrs: np.ndarray,
-                     cfg: ScanConfig | None = None,
-                     schedule: DecodingSchedule | None = None,
-                     enabled_types: frozenset = DEFAULT_TYPES) -> ScanOutput:
+                     cfg: ScanConfig | None = None) -> ScanOutput:
     """Functional wrapper around FastScanDecoder."""
-    return FastScanDecoder(code, cfg, schedule, enabled_types).decode(channel_llrs)
+    return FastScanDecoder(code, cfg).decode(channel_llrs)
 
 
 def build_decoder(kind: str, code: PolarCode, cfg: ScanConfig | None = None,

@@ -15,7 +15,7 @@ import numpy as np
 from .arithmetic import combiner
 from .codes import PolarCode, butterfly_transform
 from .fastscan import build_decoder
-from .scan import ScanConfig
+from .scan import ScanConfig, _check_count
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,8 @@ class PpcConfig:
     arithmetic: str = "minsum"
 
     def __post_init__(self):
-        if self.half_iteration_pairs < 1:
-            raise ValueError("half_iteration_pairs must be >= 1")
-        if self.inner_scan_iterations < 1:
-            raise ValueError("inner_scan_iterations must be >= 1")
+        _check_count("half_iteration_pairs", self.half_iteration_pairs)
+        _check_count("inner_scan_iterations", self.inner_scan_iterations)
         combiner(self.arithmetic)
 
 

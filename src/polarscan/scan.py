@@ -39,6 +39,7 @@ never changes; fast-SCAN (fastscan.py) runs it over a pruned schedule.
 Both decoders share one decode body, _decode.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,14 +50,19 @@ from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer (numpy's too) >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class ScanConfig:
     iterations: int = 1
     arithmetic: str = "minsum"   # 'exact' or 'minsum'
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_count("iterations", self.iterations)
         combiner(self.arithmetic)  # validates the mode name
 
 

@@ -40,15 +40,9 @@ class NodeType(Enum):
     INTERNAL = "internal"
 
 
-KERNEL_TYPES = frozenset({
-    NodeType.RATE0, NodeType.RATE1, NodeType.REP, NodeType.SPC,
-    NodeType.TYPE_I, NodeType.TYPE_II, NodeType.TYPE_III, NodeType.TYPE_IV,
-})
+KERNEL_TYPES = frozenset(NodeType) - {NodeType.INTERNAL}
 CONSTANT_TYPES = frozenset({NodeType.RATE0, NodeType.RATE1})
-DEFAULT_TYPES = frozenset({
-    NodeType.RATE0, NodeType.RATE1, NodeType.REP, NodeType.SPC,
-    NodeType.TYPE_I, NodeType.TYPE_III,
-})
+DEFAULT_TYPES = KERNEL_TYPES - {NodeType.TYPE_II, NodeType.TYPE_IV}
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,12 @@ def classify(frozen_slice: np.ndarray, enabled_types: frozenset = DEFAULT_TYPES)
 
 @dataclass(frozen=True)
 class DecodingSchedule:
-    nodes: tuple            # NodeDescriptors, depth-first order
+    nodes: tuple            # NodeDescriptors, depth-first order, root first
     enabled_types: frozenset
-    N: int
+
+    @property
+    def N(self) -> int:
+        return self.nodes[0].size
 
     @property
     def node_count(self) -> int:
@@ -133,7 +130,7 @@ def build_schedule(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) ->
             rec(t - 1, 2 * i + 1)
 
     rec(code.n, 0)
-    return DecodingSchedule(nodes=tuple(nodes), enabled_types=enabled, N=code.N)
+    return DecodingSchedule(nodes=tuple(nodes), enabled_types=enabled)
 
 
 def node_census(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) -> dict:
@@ -163,7 +160,7 @@ def parse_node_types(spec: str) -> frozenset:
         return DEFAULT_TYPES
     if spec == "all":
         return KERNEL_TYPES
-    by_value = {t.value: t for t in NodeType if t is not NodeType.INTERNAL}
+    by_value = {t.value: t for t in KERNEL_TYPES}
     out = set(CONSTANT_TYPES)
     for token in spec.split(","):
         token = token.strip().lower()

@@ -6,14 +6,7 @@ from polarscan import PolarCode, scan
 
 def code_from_mask(mask) -> PolarCode:
     """Build a PolarCode with an explicit frozen pattern (tests only)."""
-    mask = np.asarray(mask, dtype=bool)
-    N = mask.size
-    n = N.bit_length() - 1
-    assert 1 << n == N
-    # reliability order is irrelevant to decoding; frozen first keeps it consistent
-    order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
-    return PolarCode(n=n, N=N, K=int(N - mask.sum()), frozen_mask=mask,
-                     reliability_order=order)
+    return PolarCode(mask)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """BPSK/AWGN channel helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ def test_noise_sigma_rejects_nonpositive_rate():
         noise_sigma(1.0, 0.0)
     with pytest.raises(ValueError):
         noise_sigma(1.0, -0.5)
+
+
+def test_noise_sigma_rejects_ebn0_without_finite_positive_sigma():
+    # +inf gave sigma 0, -inf and -1e9 ZeroDivisionError, 1e9 OverflowError,
+    # and NaN a NaN sigma that surfaced only as NaN channel LLRs
+    for ebn0 in (np.inf, -np.inf, -1e9, 1e9, np.nan):
+        with pytest.raises(ValueError, match=re.escape(f"Eb/N0 of {ebn0!r} dB")):
+            noise_sigma(ebn0, 0.5)
 
 
 def test_llr_of_clean_zero_bit():

@@ -1,6 +1,7 @@
 """Command-line interface smoke tests (in-process via main())."""
 
 import json
+import warnings
 
 from polarscan.cli import main
 
@@ -49,9 +50,12 @@ def test_decode_roundtrip(capsys):
 def test_decode_llr_file(capsys, tmp_path):
     path = tmp_path / "llrs.txt"
     path.write_text("2 2 2 2 2 2 2 2\n")
-    rc, out, _ = run_cli(capsys, "decode", "--n", "8", "--k", "4",
-                         "--llr-file", str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, _ = run_cli(capsys, "decode", "--n", "8", "--k", "4",
+                             "--llr-file", str(path))
     assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]   # the file is closed
     assert json.loads(out)["u_hat"] == [0] * 8
 
 

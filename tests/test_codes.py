@@ -1,9 +1,11 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
 from polarscan import (
+    PolarCode,
     bhattacharyya_order,
     build_code,
     butterfly_transform,
@@ -23,6 +25,20 @@ def test_frozen_set_8_4():
     np.testing.assert_array_equal(np.flatnonzero(code.frozen_mask), [0, 1, 2, 4])
     np.testing.assert_array_equal(code.info_positions, [3, 5, 6, 7])
     assert code.K == 4 and code.N == 8 and code.n == 3 and code.rate == 0.5
+
+
+def test_code_is_its_frozen_mask():
+    # n, N and K follow from the mask; nothing else is settable
+    assert [f.name for f in dataclasses.fields(PolarCode) if f.init] == ["frozen_mask"]
+    mask = [True, False]
+    code = PolarCode(mask)
+    assert (code.n, code.N, code.K) == (1, 2, 1)
+    assert code.frozen_mask.dtype == bool and not code.frozen_mask.flags.writeable
+    np.testing.assert_array_equal(code.frozen_mask, mask)
+    with pytest.raises(ValueError, match=r"1-D.*\(2, 4\)"):
+        PolarCode(np.zeros((2, 4), dtype=bool))
+    with pytest.raises(ValueError, match="N=6"):
+        PolarCode([True, False, True, False, False, False])
 
 
 def test_insert_encode_8_4():

@@ -77,7 +77,15 @@ def test_schedule_code_mismatch():
     # same N, another frozen mask: the schedule would run the wrong kernels
     with pytest.raises(ValueError, match=r"\(64,40\)"):
         FastScanDecoder(build_code(64, 40), schedule=build_schedule(build_code(64, 32)))
-    FastScanDecoder(build_code(64, 32), schedule=build_schedule(build_code(64, 32)))
+    code = build_code(64, 32)
+    FastScanDecoder(code, schedule=build_schedule(code))
+    # a schedule fixes the pruned types: another enabled_types conflicts with it
+    with pytest.raises(ValueError, match="enabled_types"):
+        FastScanDecoder(code, schedule=build_schedule(code), enabled_types=frozenset())
+    dec = FastScanDecoder(code, schedule=build_schedule(code, KERNEL_TYPES))
+    assert dec.schedule.enabled_types == KERNEL_TYPES
+    # frozenset() is a type set (constant nodes only), not "use the default"
+    assert FastScanDecoder(code, enabled_types=frozenset()).schedule.node_count == 47
 
 
 def test_leaf_extrinsic_flag(rng):

@@ -123,10 +123,11 @@ def test_iteration_gain(rng):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PpcConfig(half_iteration_pairs=0)
-    with pytest.raises(ValueError):
-        PpcConfig(arithmetic="approx")
+    for bad in ({"half_iteration_pairs": 0}, {"half_iteration_pairs": 2.5},
+                {"inner_scan_iterations": 1.5}, {"arithmetic": "approx"}):
+        with pytest.raises(ValueError):
+            PpcConfig(**bad)
+    assert PpcConfig(half_iteration_pairs=np.int64(2)).half_iteration_pairs == 2
 
 
 def test_decode_llr_shape_mismatch(rng):

@@ -164,9 +164,10 @@ def test_tie_breaks_to_zero():
 
 
 def test_config_and_input_validation():
-    for bad in ({"iterations": 0}, {"arithmetic": "sum"}):
+    for bad in ({"iterations": 0}, {"iterations": 2.5}, {"iterations": "2"}, {"arithmetic": "sum"}):
         with pytest.raises(ValueError):
             ScanConfig(**bad)
+    assert ScanConfig(iterations=np.int64(2)).iterations == 2
     code = build_code(8, 4)
     with pytest.raises(ValueError, match="LLR length"):
         init_messages(code, np.zeros(4))

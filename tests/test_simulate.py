@@ -88,7 +88,8 @@ def test_invalid_inputs():
 def test_invalid_decoder_settings_fail_before_workers_start():
     # the spec is checked where it is made: raised in a pool initializer
     # instead, the pool respawned the failing worker forever
-    for kw in ({"iterations": 0}, {"arithmetic": "float"}, {"node_types": frozenset({"spc"})}):
+    for kw in ({"iterations": 0}, {"iterations": 2.5}, {"arithmetic": "float"},
+               {"node_types": frozenset({"spc"})}):
         with pytest.raises(ValueError):
             DecoderSpec(kind="scan", **kw)
 
