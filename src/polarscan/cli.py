@@ -88,10 +88,11 @@ def _cmd_decode(args):
     cfg = ScanConfig(iterations=args.iters, arithmetic=args.arith)
     decode = build_decoder(args.decoder, code, cfg, parse_node_types(args.node_types))
     out = decode(llrs)
+    u_hat = out.u_hat
     payload = {
-        "u_hat": out.u_hat.astype(int).tolist(),
+        "u_hat": u_hat.astype(int).tolist(),
         "x_hat": out.x_hat.astype(int).tolist(),
-        "info": extract_info(code, out.u_hat).astype(int).tolist(),
+        "info": extract_info(code, u_hat).astype(int).tolist(),
     }
     _emit(json.dumps(payload) + "\n", args.out)
 

@@ -15,7 +15,7 @@ import numpy as np
 from .sequences import ReliabilitySequence, default_sequence, subcode_order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarCode:
     frozen_mask: np.ndarray   # any 1-D bool sequence, True = frozen; kept as a read-only copy
     n: int = field(init=False)
@@ -29,6 +29,14 @@ class PolarCode:
         mask.flags.writeable = False
         K = mask.size - int(mask.sum())
         vars(self).update(frozen_mask=mask, n=_check_dims(mask.size, K), N=mask.size, K=K)
+
+    def __eq__(self, other):   # a code is its frozen mask; a 1-D bool mask's bytes fix its length
+        if not isinstance(other, PolarCode):
+            return NotImplemented
+        return self.frozen_mask.tobytes() == other.frozen_mask.tobytes()
+
+    def __hash__(self):
+        return hash(self.frozen_mask.tobytes())
 
     @property
     def info_positions(self) -> np.ndarray:

@@ -121,30 +121,22 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     row_dec = build_decoder(decoder, ppc.row_code, scan_cfg)
     col_dec = build_decoder(decoder, ppc.col_code, scan_cfg)
 
-    e_row = np.zeros_like(llrs)
-    e_col = np.zeros_like(llrs)
     x_hat = np.zeros((B, N_c, N_r), dtype=np.uint8)
     iters = np.full(B, cfg.half_iteration_pairs, dtype=int)
-    active = np.ones(B, dtype=bool)
+    idx, e_col = np.arange(B), np.zeros_like(llrs)   # idx, llrs, e_col: frames still decoding
 
     for pair in range(1, cfg.half_iteration_pairs + 1):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        rows_in = (llrs[idx] + e_col[idx]).reshape(-1, N_r)
-        e_row[idx] = row_dec(rows_in).root_extrinsic.reshape(-1, N_c, N_r)
-        cols_in = np.swapaxes(llrs[idx] + e_row[idx], -1, -2).reshape(-1, N_c)
-        e_col[idx] = np.swapaxes(
-            col_dec(cols_in).root_extrinsic.reshape(-1, N_r, N_c), -1, -2)
-
-        combined = llrs[idx] + e_row[idx] + e_col[idx]
-        hard = (combined < 0).astype(np.uint8)
+        e_row = row_dec((llrs + e_col).reshape(-1, N_r)).root_extrinsic.reshape(llrs.shape)
+        cols_in = np.swapaxes(llrs + e_row, -1, -2).reshape(-1, N_c)
+        e_col = np.swapaxes(col_dec(cols_in).root_extrinsic.reshape(-1, N_r, N_c), -1, -2)
+        hard = (llrs + e_row + e_col < 0).astype(np.uint8)
         x_hat[idx] = hard
         ok = _valid_frames(ppc, hard)
         iters[idx[ok]] = pair
-        active[idx[ok]] = False
+        idx, llrs, e_col = idx[~ok], llrs[~ok], e_col[~ok]
 
+    rows = 0 if single else slice(None)
     info_hat = _matrix_info(ppc, x_hat)
-    if single:
-        return PpcOutput(x_hat=x_hat[0], info_hat=info_hat[0], iterations_used=iters[0])
-    return PpcOutput(x_hat=x_hat, info_hat=info_hat, iterations_used=iters)
+    return PpcOutput(x_hat=x_hat[rows], info_hat=info_hat[rows], iterations_used=iters[rows])

@@ -10,39 +10,32 @@ import numpy as np
 
 from .arithmetic import boxplus_minsum
 from .channel import checked_llrs
-from .codes import PolarCode, butterfly_transform
+from .codes import PolarCode
 from .scan import ScanOutput
 
 
 def sc_decode(code: PolarCode, channel_llrs: np.ndarray) -> ScanOutput:
-    """Hard decisions u_hat and x_hat, (..., N) bits each; SC has no soft
-    output, so leaf_extrinsic and root_extrinsic are None."""
+    """Hard decision x_hat, (..., N) bits; SC has no soft output, so
+    leaf_extrinsic and root_extrinsic are None."""
     llrs = checked_llrs(channel_llrs, code.N)
     squeeze = np.asarray(channel_llrs).ndim == 1
     B = llrs.shape[0]
-    u_hat = np.zeros((B, code.N), dtype=np.uint8)
     frozen = code.frozen_mask
 
     def rec(t, i, lam):
         # returns the subtree's hard partial codeword (B, 2^t)
         if t == 0:
             if frozen[i]:
-                u_hat[:, i] = 0
                 return np.zeros((B, 1), dtype=np.uint8)
-            bit = (lam < 0).astype(np.uint8)
-            u_hat[:, i] = bit[:, 0]
-            return bit
+            return (lam < 0).astype(np.uint8)
         h = 1 << (t - 1)
         a, b = lam[:, :h], lam[:, h:]
         left_bits = rec(t - 1, 2 * i, boxplus_minsum(a, b))
         right_bits = rec(t - 1, 2 * i + 1, b + (1.0 - 2.0 * left_bits) * a)
         return np.concatenate([left_bits ^ right_bits, right_bits], axis=1)
 
-    rec(code.n, 0, llrs)
-    x_hat = butterfly_transform(u_hat)
-    if squeeze:
-        u_hat, x_hat = u_hat[0], x_hat[0]
-    return ScanOutput(leaf_extrinsic=None, root_extrinsic=None, u_hat=u_hat, x_hat=x_hat)
+    x_hat = rec(code.n, 0, llrs)
+    return ScanOutput(leaf_extrinsic=None, root_extrinsic=None, x_hat=x_hat[0] if squeeze else x_hat)
 
 
 def sc_latency(N: int) -> int:

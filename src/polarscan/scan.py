@@ -79,8 +79,12 @@ class MessageMemory:
 class ScanOutput:
     leaf_extrinsic: np.ndarray   # lam at stage 0 after the final iteration
     root_extrinsic: np.ndarray   # beta at stage n
-    u_hat: np.ndarray
     x_hat: np.ndarray
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        """Decided input bits butterfly(x_hat), computed as a fresh array on each read."""
+        return butterfly_transform(self.x_hat)
 
 
 def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
@@ -192,10 +196,8 @@ def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
     rows = 0 if squeeze else slice(None)
     ap = sat_add(mem.lam[code.n], mem.beta[code.n])
     x_hat = np.ascontiguousarray(ap < 0, dtype=np.uint8)   # ap is frame-last like mem
-    u_hat = butterfly_transform(x_hat)
-    leaf = _soft_output(mem.lam[0][rows]) if leaf_extrinsic else None
-    root = _soft_output(mem.beta[code.n][rows])
-    return ScanOutput(leaf_extrinsic=leaf, root_extrinsic=root, u_hat=u_hat[rows], x_hat=x_hat[rows])
+    return ScanOutput(leaf_extrinsic=_soft_output(mem.lam[0][rows]) if leaf_extrinsic else None,
+                      root_extrinsic=_soft_output(mem.beta[code.n][rows]), x_hat=x_hat[rows])
 
 
 def _soft_output(x: np.ndarray) -> np.ndarray:

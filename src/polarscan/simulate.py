@@ -20,7 +20,7 @@ from .channel import channel_llrs, modulate, noise_sigma
 from .codes import PolarCode, encode, extract_info, insert_info
 from .fastscan import build_decoder
 from .product import PpcConfig, ProductPolarCode, ppc_decode, ppc_encode
-from .scan import ScanConfig
+from .scan import ScanConfig, _check_count
 from .schedule import DEFAULT_TYPES, _checked_types
 
 CHUNK_FRAMES = 256
@@ -132,12 +132,12 @@ def _worker_chunk(task):
 def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: int,
               max_frames: int, min_block_errors: int, workers: int, chunk_frames: int) -> SimResult:
     """Shared chunk-wave loop; identical chunk schedule for any worker count."""
-    if not ebn0_points:
+    if np.ndim(ebn0_points) != 1:
+        raise ValueError(f"ebn0_db must be a sequence of Eb/N0 values, got {ebn0_points!r}")
+    if len(ebn0_points) == 0:
         raise ValueError("empty SNR list")
-    if max_frames <= 0:
-        raise ValueError("max_frames must be positive")
-    if chunk_frames < 1:
-        raise ValueError("chunk_frames must be positive")
+    for name, count in (("max_frames", max_frames), ("workers", workers), ("chunk_frames", chunk_frames)):
+        _check_count(name, count)
     start = time.perf_counter()
 
     pool = None
@@ -156,7 +156,7 @@ def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: in
                 # one wave of chunks, sized to keep all workers busy
                 wave = []
                 budget_left = max_frames - point.frames
-                for w in range(max(workers, 1)):
+                for w in range(workers):
                     frames = min(chunk_frames, budget_left - w * chunk_frames)
                     if frames <= 0:
                         break

@@ -6,6 +6,7 @@ import pytest
 
 from polarscan import (
     PolarCode,
+    ProductPolarCode,
     bhattacharyya_order,
     build_code,
     butterfly_transform,
@@ -39,6 +40,15 @@ def test_code_is_its_frozen_mask():
         PolarCode(np.zeros((2, 4), dtype=bool))
     with pytest.raises(ValueError, match="N=6"):
         PolarCode([True, False, True, False, False, False])
+
+
+def test_codes_compare_and_hash_by_mask():
+    a, b = build_code(8, 4), build_code(8, 4)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_code(8, 5) and a != build_code(16, 4) and a != "code"
+    assert {a: "a"}[b] == "a"
+    assert ProductPolarCode(a, build_code(4, 2)) == ProductPolarCode(b, build_code(4, 2))
+    assert ProductPolarCode(a, a) != ProductPolarCode(a, build_code(8, 5))
 
 
 def test_insert_encode_8_4():

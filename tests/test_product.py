@@ -97,6 +97,21 @@ def test_batch_decode_shapes(rng):
     assert np.all(out.iterations_used <= 2)
 
 
+@pytest.mark.parametrize("decoder", ["scan", "fast_scan"])
+def test_batch_frames_match_their_lone_decodes(rng, decoder):
+    # frames that stop at different pairs leave the batch without disturbing the rest
+    ppc = square_ppc(16, 11)
+    _, _, llrs = noisy_llr_batch(ppc, 2.5, 24, rng)
+    cfg = PpcConfig(half_iteration_pairs=8)
+    batch = ppc_decode(ppc, llrs, cfg, decoder=decoder)
+    assert len(set(batch.iterations_used.tolist())) >= 3
+    for j in range(len(llrs)):
+        alone = ppc_decode(ppc, llrs[j], cfg, decoder=decoder)
+        np.testing.assert_array_equal(batch.x_hat[j], alone.x_hat)
+        np.testing.assert_array_equal(batch.info_hat[j], alone.info_hat)
+        assert batch.iterations_used[j] == alone.iterations_used
+
+
 def test_early_stop_on_valid_word(rng):
     # mild noise: most frames converge before the pair budget runs out
     ppc = square_ppc(16, 11)

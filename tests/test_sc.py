@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polarscan import build_code, sc_decode, sc_latency
+from polarscan import build_code, butterfly_transform, sc_decode, sc_latency
 from polarscan.arithmetic import DEFAULT_SAT as SAT
 from polarscan.codes import encode, insert_info
 
@@ -67,6 +67,15 @@ def test_batch_matches_single(rng):
         single = sc_decode(code, llrs[b])
         np.testing.assert_array_equal(batch.u_hat[b], single.u_hat)
         np.testing.assert_array_equal(batch.x_hat[b], single.x_hat)
+
+
+@pytest.mark.parametrize("shape", [(16,), (7, 16)])
+def test_u_hat_is_butterfly_of_x_hat(rng, shape):
+    # sc_decode keeps only the codeword its recursion returns; u_hat is derived from it
+    out = sc_decode(build_code(16, 10), rng.normal(size=shape) * 2.0)
+    for bits in (out.u_hat, out.x_hat):
+        assert bits.shape == shape and bits.dtype == np.uint8 and bits.flags.c_contiguous
+    np.testing.assert_array_equal(out.u_hat, butterfly_transform(out.x_hat))
 
 
 def test_length_mismatch():

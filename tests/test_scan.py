@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -5,7 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import code_from_mask
-from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, build_code, init_messages, scan_decode
+from polarscan import (
+    FastScanDecoder,
+    ScanConfig,
+    ScanDecoder,
+    ScanOutput,
+    build_code,
+    butterfly_transform,
+    init_messages,
+    scan_decode,
+)
 from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
 
@@ -196,3 +206,11 @@ def test_messages_are_frame_last_and_outputs_contiguous(rng, final_memory, decod
         value = getattr(out, field)
         assert value.shape == ((code.N,) if single else (batch, code.N))
         assert value.flags.c_contiguous, field
+    assert out.u_hat.dtype == out.x_hat.dtype == np.uint8
+    np.testing.assert_array_equal(out.u_hat, butterfly_transform(out.x_hat))
+
+
+def test_output_stores_what_the_decode_computed():
+    # u_hat is butterfly(x_hat), derived on each read instead of stored
+    assert [f.name for f in dataclasses.fields(ScanOutput)] == ["leaf_extrinsic", "root_extrinsic", "x_hat"]
+    assert isinstance(ScanOutput.u_hat, property)

@@ -77,8 +77,15 @@ def test_high_snr_zero_errors():
 def test_invalid_inputs():
     code = build_code(32, 16)
     spec = DecoderSpec(kind="scan")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty SNR list"):
         run_sim(code, spec, ChannelConfig(ebn0_db=(), seed=1))
+    for ebn0 in (2.0, "2", ((1.0, 2.0),)):
+        with pytest.raises(ValueError, match="ebn0_db must be a sequence"):
+            run_sim(code, spec, ChannelConfig(ebn0_db=ebn0, seed=1))
+    for name, value in (("workers", 0), ("workers", -2), ("workers", 1.5), ("max_frames", 100.5),
+                        ("chunk_frames", 2.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value}"):
+            run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), **{"max_frames": 64, name: value})
     with pytest.raises(ValueError):
         run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), max_frames=0)
     with pytest.raises(ValueError, match="chunk_frames"):
