@@ -1,31 +1,28 @@
-"""Saturated LLR arithmetic: clamping, saturating addition, box-plus.
+"""LLR arithmetic: clamping, addition, box-plus.
 
-All soft values live in [-SAT, +SAT], SAT = DEFAULT_SAT = 1e6. +SAT stands
-in for infinity (a bit known to be 0 with certainty), -SAT for a certain 1.
-SAT is a fixed constant that only represents certainty, not a decoding
-parameter. The conventions here are load-bearing for the rest of the
-package:
+Channel LLRs are clamped to [-SAT, +SAT], SAT = DEFAULT_SAT = 1e6, where
+they enter the decoder; inside it they are plain finite numbers. Certainty
+is IEEE +inf, and only frozen knowledge carries it: the frozen prior and
+the Rate0 feedback. The conventions here are load-bearing for the rest of
+the package:
 
-* saturating addition is absorbing at +-SAT (finite + SAT == SAT), and
-  +SAT + -SAT == 0 (conflicting certainties cancel to an erasure);
-* box-plus treats +-SAT as an exact identity: boxplus(a, +SAT) == a,
-  boxplus(a, -SAT) == -a;
+* addition is IEEE addition, so +inf absorbs every finite value;
+* box-plus with +inf is the identity: boxplus(a, +inf) == a, +inf
+  included;
 * sign(0) == +1 everywhere.
 
-Without the absorbing rule, an all-frozen subtree would feed back
-SAT - epsilon instead of exactly SAT and the closed-form node kernels could
-not be bit-identical to the message-passing recursion.
+A demand only meets +inf through box-plus, which returns the finite
+operand, so demands stay finite, and a soft output is +inf exactly where
+the frozen set fixes a bit. -inf and inf - inf never arise.
 
 The functions run over whole message arrays on every decoder op, so they
 keep to one rule: no select that depends on the data runs over a whole
 array. A sign comes from a comparison turned into arithmetic (hard_sign is
-1 - 2*(x < 0)), not from np.where. A certainty fix-up runs only when its
-operands hold a certainty, and is skipped when its mask is empty. On
-channel LLRs the signs are random, and an element-wise select on them runs
-as a data-dependent branch that the CPU cannot predict, several times
-slower than the arithmetic that replaces it. The masks of a certainty
-fix-up are mostly empty, or cover whole frozen positions, which
-frames-last message storage keeps contiguous.
+1 - 2*(x < 0)), not from np.where. On channel LLRs the signs are random,
+and an element-wise select on them runs as a data-dependent branch that
+the CPU cannot predict, several times slower than the arithmetic that
+replaces it. The one fix-up, exact box-plus of two infinities, runs only
+when its mask is not empty.
 """
 
 import numpy as np
@@ -46,30 +43,15 @@ def hard_sign(x):
 
 
 def sat_add(a, b):
-    """Saturating addition with absorbing +-SAT.
-
-    finite + SAT -> SAT, finite + -SAT -> -SAT, SAT + -SAT -> 0.
-    Plain sums are clipped into [-SAT, SAT].
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.asarray(np.add(a, b))   # a 0-d sum comes back a scalar, which out= rejects
-    out.clip(-DEFAULT_SAT, DEFAULT_SAT, out=out)
-    # Two certainties already sum to +-SAT or +0.0; a single one is copied
-    # over the sum. `>` on the masks broadcasts to the shape of the sum.
-    a_sat = (a == DEFAULT_SAT) | (a == -DEFAULT_SAT)
-    b_sat = (b == DEFAULT_SAT) | (b == -DEFAULT_SAT)
-    for src, only in ((a, a_sat > b_sat), (b, b_sat > a_sat)):
-        if only.any():
-            np.copyto(out, src, where=only)
-    return out
+    """LLR addition: IEEE addition, in which +inf absorbs every finite value."""
+    return np.asarray(np.add(a, b, dtype=float))   # 0-d stays an array
 
 
 def boxplus_minsum(a, b):
     """Min-sum check-node combination: sign(a)*sign(b)*min(|a|,|b|).
 
-    Needs no saturation special case: min(|x|, SAT) = |x| already treats
-    +-SAT as an identity.
+    Needs no special case: min(|x|, inf) = |x| already makes +inf an
+    identity.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -80,20 +62,18 @@ def boxplus(a, b):
     """Exact check-node combination log((1 + e^(a+b)) / (e^a + e^b)).
 
     Evaluated in the numerically stable form
-        sign(a)*sign(b)*min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|)
-    and clamped. Saturated operands short-circuit to the exact identity
-    boxplus(a, +-SAT) = +-a so that certainty propagates without rounding.
+        sign(a)*sign(b)*min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
+    whose correction terms vanish when one operand is infinite. Where both
+    are, a - b is NaN, so the min-sum term is returned there.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    core = boxplus_minsum(a, b) + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out = np.asarray(core.clip(-DEFAULT_SAT, DEFAULT_SAT))
-    a_sat = np.abs(a) == DEFAULT_SAT
-    b_sat = np.abs(b) == DEFAULT_SAT
-    if b_sat.any():
-        out = np.where(b_sat, hard_sign(b) * a, out)
-    if a_sat.any():   # where both are +-SAT, sign(a) * b is sign(a)*sign(b)*SAT
-        out = np.where(a_sat, hard_sign(a) * b, out)
+    core = boxplus_minsum(a, b)
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b))))
+    both = np.isinf(a) & np.isinf(b)
+    if both.any():
+        out = np.where(both, core, out)
     return out
 
 

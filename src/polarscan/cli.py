@@ -111,7 +111,7 @@ def _cmd_latency(args):
         pairs = _parse_code_list(args.codes)
     else:
         if args.n is None or args.k is None:
-            raise SystemExit("latency needs --codes or both --n and --k")
+            raise ValueError("latency needs --codes or both --n and --k")
         pairs = [(args.n, args.k)]
     codes = [build_code(N, K) for N, K in pairs]
     rows = latency_table(codes, enabled_types=types)

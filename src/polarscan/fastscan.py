@@ -48,7 +48,7 @@ class FastScanDecoder:
     subtrees and returns None for leaf_extrinsic; useful when only the
     codeword-side outputs are consumed. For the (128,64) code in exact
     arithmetic, 2 iterations and 16 frames per call, the reconstruction is
-    about two thirds of the decode time (0.67 in a traced run).
+    about 60% of the decode time (0.62 in a traced run).
     """
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None,

@@ -7,8 +7,8 @@ a level of half-size h, with lo, hi the two halves of lam:
 
 * j == h: the left half is Rate0 and the right half Rate1, so the halves
   swap: beta = [hi, lo].
-* j > h: the left half is Rate0 and feeds back certainty, so box-plus with
-  it passes values through and the level folds with saturating adds:
+* j > h: the left half is Rate0 and feeds back certainty (+inf), so
+  box-plus with it passes values through and the level folds with adds:
   inner = kernel(lo + hi), beta = [hi + inner, lo + inner].
 * j < h: the right half is Rate1 and feeds back 0, so the level folds the
   same way with box-plus.
@@ -28,7 +28,7 @@ Every kernel accepts a batch axis and is stateless.
 
 import numpy as np
 
-from .arithmetic import DEFAULT_SAT, combiner, hard_sign, sat_add
+from .arithmetic import combiner, hard_sign, sat_add
 
 
 def _checked(lam, kind, minimum):
@@ -55,8 +55,8 @@ def _level(lam, j, inner, arithmetic=None):
 
 
 def rate0_update(shape) -> np.ndarray:
-    """All-frozen node: feedback is certainty, all +SAT."""
-    return np.full(shape, DEFAULT_SAT, dtype=float)
+    """All-frozen node: feedback is certainty, all +inf."""
+    return np.full(shape, np.inf)
 
 
 def rate1_update(shape) -> np.ndarray:

@@ -13,9 +13,11 @@ slice lam[t][:, lo:hi] is one contiguous block of (hi-lo)*batch floats and
 every update runs over contiguous memory. The arrays index as (n+1, batch,
 N) all the same.
 
-lam[n] is the (clamped) channel LLR vector and is never modified; beta[0]
-is +SAT at frozen leaf positions and 0 elsewhere and is never modified.
-All other entries start at 0 and persist across one decode's iterations.
+lam[n] is the channel LLR vector, clamped to [-SAT, SAT], and is never
+modified; beta[0] is +inf (certainty) at frozen leaf positions and 0
+elsewhere and is never modified. All other entries start at 0 and persist
+across one decode's iterations. Every lam stays finite, and beta holds
+finite values and +inf only (see arithmetic.py).
 
 Per node of half-size h, with a = lam_t[:h], b = lam_t[h:], bl/br the
 children's beta:
@@ -24,10 +26,10 @@ children's beta:
     right demand  f(a, bl) + b        (bl freshly updated by the left child)
     feedback      [f(bl, b + br), br + f(a, bl)]
 
-where f is box-plus (exact or min-sum) and + saturates. The right subtree
-writes neither a nor bl, so the feedback reuses the f(a, bl) of the right
-demand instead of computing it again. The decoder is batched: a frame axis
-is broadcast through every update.
+where f is box-plus (exact or min-sum) and + is IEEE addition. The right
+subtree writes neither a nor bl, so the feedback reuses the f(a, bl) of the
+right demand instead of computing it again. The decoder is batched: a frame
+axis is broadcast through every update.
 
 A tree compiles once into a flat tuple of ops in depth-first order, each
 with precomputed index tuples into lam and beta: left demand, right demand
@@ -45,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import DEFAULT_SAT, clamp, combiner, sat_add
+from .arithmetic import clamp, combiner, sat_add
 from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
 
@@ -88,11 +90,11 @@ class ScanOutput:
 
 
 def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
-    """Fresh memory: channel LLRs at stage n, frozen +SAT at stage 0, zeros elsewhere."""
+    """Fresh memory: clamped channel LLRs at stage n, frozen +inf at stage 0, zeros elsewhere."""
     llrs = checked_llrs(channel_llrs, code.N)
     mem = _zero_memory(code.n, llrs.shape[0])
     mem.lam[code.n] = clamp(llrs)
-    mem.beta[0][:, code.frozen_mask] = DEFAULT_SAT
+    mem.beta[0][:, code.frozen_mask] = np.inf
     return mem
 
 
@@ -192,7 +194,8 @@ def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
     """Hard decisions from channel + root feedback; ties decide 0. The soft
     outputs are C-contiguous copies in which every zero is +0.0, so decoders
     that agree in value agree bit for bit; leaf_extrinsic=False returns None
-    in its place."""
+    in its place. root_extrinsic is +inf, unclamped, exactly where the
+    frozen set fixes a bit."""
     rows = 0 if squeeze else slice(None)
     ap = sat_add(mem.lam[code.n], mem.beta[code.n])
     x_hat = np.ascontiguousarray(ap < 0, dtype=np.uint8)   # ap is frame-last like mem

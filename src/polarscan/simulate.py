@@ -136,7 +136,8 @@ def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: in
         raise ValueError(f"ebn0_db must be a sequence of Eb/N0 values, got {ebn0_points!r}")
     if len(ebn0_points) == 0:
         raise ValueError("empty SNR list")
-    for name, count in (("max_frames", max_frames), ("workers", workers), ("chunk_frames", chunk_frames)):
+    for name, count in (("max_frames", max_frames), ("min_block_errors", min_block_errors),
+                        ("workers", workers), ("chunk_frames", chunk_frames)):
         _check_count(name, count)
     start = time.perf_counter()
 

@@ -2,9 +2,11 @@
 
 Everything here is written per-frame with plain Python floats and lists,
 deliberately avoiding the package's vectorized code paths, so agreement
-between the two is meaningful. Conventions match the library contract:
-values live in [-SAT, SAT], saturating addition is absorbing, box-plus
-treats +-SAT as an exact identity, sign(0) = +1, LLR < 0 decides bit 1.
+between the two is meaningful. The helpers take the certainty value as
+sat: addition is absorbing at +-sat, box-plus treats +-sat as an exact
+identity, sign(0) = +1, LLR < 0 decides bit 1. ref_scan follows the
+library contract: channel values are clipped to [-SAT, SAT], and
+certainty is sat = +inf, at which these rules are IEEE arithmetic.
 """
 
 import math
@@ -65,7 +67,7 @@ def ref_butterfly(bits):
     return ref_butterfly(a) + ref_butterfly(bits[h:])
 
 
-def ref_scan(frozen, llrs, iterations=1, arithmetic="minsum", sat=SAT):
+def ref_scan(frozen, llrs, iterations=1, arithmetic="minsum", sat=math.inf):
     """Full SCAN on one frame; frozen is a bool list, llrs a float list.
 
     Returns {"lam0", "beta_n", "x_hat", "u_hat"} as plain lists.
@@ -77,7 +79,7 @@ def ref_scan(frozen, llrs, iterations=1, arithmetic="minsum", sat=SAT):
 
     lam = [[0.0] * N for _ in range(n + 1)]
     beta = [[0.0] * N for _ in range(n + 1)]
-    lam[n] = [ref_clip(v, sat) for v in llrs]
+    lam[n] = [ref_clip(v, SAT) for v in llrs]
     beta[0] = [sat if fz else 0.0 for fz in frozen]
 
     def visit(t, i):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from polarscan.arithmetic import (
     DEFAULT_SAT,
@@ -13,6 +14,7 @@ from polarscan.arithmetic import (
 )
 
 SAT = DEFAULT_SAT
+inf = math.inf
 
 
 def test_boxplus_defining_formula():
@@ -23,10 +25,11 @@ def test_boxplus_defining_formula():
 
 
 def test_boxplus_saturation_identity():
-    for a in (-3.7, 0.0, 2.5, SAT, -SAT):
-        assert float(boxplus(a, SAT)) == a
-        assert float(boxplus(a, -SAT)) == -a
-        assert float(boxplus(SAT, a)) == a
+    # certainty (+inf) is the identity of box-plus, itself included
+    for a in (-3.7, 0.0, 2.5, SAT, -SAT, inf):
+        assert float(boxplus(a, inf)) == a
+        assert float(boxplus(inf, a)) == a
+        assert float(boxplus_minsum(a, inf)) == a
 
 
 def test_boxplus_zero_absorbs():
@@ -62,18 +65,20 @@ def test_minsum_within_log2_of_exact(rng):
 
 
 def test_sat_add_absorbing():
-    assert float(sat_add(5.0, SAT)) == SAT
-    assert float(sat_add(-SAT, 5.0)) == -SAT
-    assert float(sat_add(SAT, SAT)) == SAT
-    # conflicting certainties cancel to an erasure
+    # certainty (+inf) absorbs every finite value
+    assert float(sat_add(5.0, inf)) == inf
+    assert float(sat_add(-SAT, inf)) == inf
+    assert float(sat_add(inf, inf)) == inf
+    # channel-range values are plain numbers: they neither absorb nor cancel
+    assert float(sat_add(SAT, 5.0)) == SAT + 5.0
     assert float(sat_add(SAT, -SAT)) == 0.0
-    assert float(sat_add(-SAT, SAT)) == 0.0
 
 
 def test_sat_add_plain_sum_and_clip():
+    # IEEE addition: nothing is clipped
     assert float(sat_add(2.0, 3.0)) == 5.0
-    assert float(sat_add(SAT - 1.0, 10.0)) == SAT
-    assert float(sat_add(-(SAT - 1.0), -10.0)) == -SAT
+    assert float(sat_add(SAT - 1.0, 10.0)) == SAT + 9.0
+    assert float(sat_add(-(SAT - 1.0), -10.0)) == -(SAT + 9.0)
 
 
 def test_clamp_and_hard_sign():
@@ -95,20 +100,16 @@ def test_combiner_dispatch():
         pass
 
 
-# ±SAT, ±0.0, ±1e-300, ±(SAT-1), out-of-range ±2e6 and ordinary values
+# ±SAT, ±0.0, ±1e-300, ±(SAT-1), out-of-range ±2e6, ordinary values and
+# certainty +inf; no -inf, which never occurs (and inf + -inf is NaN)
 BIT_GRID = np.array([v for x in (SAT, 0.0, 1e-300, SAT - 1.0, 2e6, 1.5, 3.25, 1e5)
-                     for v in (x, -x)])
+                     for v in (x, -x)] + [inf])
 
 
 def _ref_sat_add(x, y):
-    """The documented rules, one pair of Python floats at a time."""
-    if (x == SAT and y == -SAT) or (x == -SAT and y == SAT):
-        return 0.0
-    if SAT in (x, y):
-        return SAT
-    if -SAT in (x, y):
-        return -SAT
-    return min(max(x + y, -SAT), SAT)
+    """The documented rules, one pair of Python floats at a time: IEEE
+    addition, in which +inf absorbs every finite value."""
+    return x + y
 
 
 def _sign(v):
@@ -124,23 +125,19 @@ def _ref_clamp(x):
 
 
 def _ref_boxplus(x, y):
-    """Saturated operands are identities; otherwise the stable formula,
-    evaluated in the same order as boxplus, then clipped."""
-    if abs(x) == SAT and abs(y) == SAT:
-        return _sign(x) * _sign(y) * SAT
-    if abs(x) == SAT:
-        return _sign(x) * y
-    if abs(y) == SAT:
-        return _sign(y) * x
-    core = (_ref_minsum(x, y) + float(np.log1p(np.exp(-abs(x + y))))
+    """The min-sum term where both operands are infinite; otherwise the
+    stable formula, evaluated in the same order as boxplus."""
+    if math.isinf(x) and math.isinf(y):
+        return _ref_minsum(x, y)
+    return (_ref_minsum(x, y) + float(np.log1p(np.exp(-abs(x + y))))
             - float(np.log1p(np.exp(-abs(x - y)))))
-    return _ref_clamp(core)
 
 
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+@pytest.mark.filterwarnings("error")
 def test_bit_patterns_match_elementwise_reference():
     col, row = BIT_GRID[:, None], BIT_GRID[None, :]
     for fn, ref in ((sat_add, _ref_sat_add), (boxplus_minsum, _ref_minsum),
@@ -161,8 +158,8 @@ def test_bit_patterns_match_elementwise_reference():
     # Python floats and 0-d arrays
     for fn, ref in ((clamp, _ref_clamp), (hard_sign, _sign)):
         want = np.array([ref(float(x)) for x in BIT_GRID])
-        for x, w in ((col, want[:, None]), (row, want[None, :]), (full[0], np.tile(want[:, None], 16)),
-                     (full[0].T, np.tile(want[None, :], (16, 1)))):
+        for x, w in ((col, want[:, None]), (row, want[None, :]), (full[0], np.tile(want[:, None], BIT_GRID.size)),
+                     (full[0].T, np.tile(want[None, :], (BIT_GRID.size, 1)))):
             got = fn(x)
             assert got.dtype == np.float64 and got.shape == w.shape
             np.testing.assert_array_equal(_bits(got), _bits(w))
@@ -171,7 +168,7 @@ def test_bit_patterns_match_elementwise_reference():
             assert _bits(fn(np.array(x))) == _bits(ref(float(x)))
     # returned types: sat_add, boxplus and hard_sign give a 0-d array,
     # boxplus_minsum and clamp a numpy scalar; clamp keeps a float32 array's dtype
-    for args in ((1.0, 2.0), (np.array(SAT), np.array(-SAT)), (np.array(2.0), 3.0)):
+    for args in ((1.0, 2.0), (np.array(SAT), np.array(-SAT)), (np.array(inf), np.array(inf)), (np.array(2.0), 3.0)):
         for fn in (sat_add, boxplus):
             out = fn(*args)
             assert type(out) is np.ndarray and out.shape == ()
@@ -183,10 +180,12 @@ def test_bit_patterns_match_elementwise_reference():
     assert clamp(np.zeros(3, dtype=np.float32)).dtype == np.float32
 
 
+@pytest.mark.filterwarnings("error")
 def test_large_arrays_match_elementwise_reference():
     """Arrays long enough for numpy's SIMD loops, with random signs: BIT_GRID
-    values at random positions (fix-up masks in use), no certainty at all
-    (every mask empty), and certainty everywhere (both operands +-SAT)."""
+    values at random positions (the both-infinite fix-up in use), no
+    certainty at all (its mask empty), and certainty everywhere (both
+    operands +inf)."""
     rng = np.random.default_rng(7)
     shape = (256, 512)
 
@@ -197,7 +196,7 @@ def test_large_arrays_match_elementwise_reference():
         return x
 
     pairs = ((operand(), operand()), tuple(rng.normal(0.0, 4.0, (2,) + shape)),
-             tuple(rng.choice([SAT, -SAT], (2,) + shape)))
+             tuple(np.full((2,) + shape, inf)))
     refs = [(fn, np.vectorize(ref, otypes=[float])) for fn, ref in
             ((sat_add, _ref_sat_add), (boxplus_minsum, _ref_minsum), (boxplus, _ref_boxplus))]
     sign_ref = np.vectorize(_sign, otypes=[float])

@@ -81,6 +81,12 @@ def test_latency_text_single_code(capsys):
     assert "(128,64)" in out and "762" in out
 
 
+def test_latency_without_a_code_returns_error(capsys):
+    rc, out, err = run_cli(capsys, "latency", "--n", "128")
+    assert rc == 1 and out == ""
+    assert "error: latency needs --codes or both --n and --k" in err
+
+
 def test_census(capsys):
     rc, out, _ = run_cli(capsys, "census", "--n", "8", "--k", "4")
     assert rc == 0

@@ -159,12 +159,9 @@ def test_single_frame_squeezes(rng):
     assert out.leaf_extrinsic.shape == (16,)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: a -SAT demand on a frozen "
-                   "position cancels the recursion's +SAT, which the stateless Rate0 "
-                   "kernel cannot reproduce (README, Known limitations)")
 def test_negative_certainty_on_frozen_position_matches_scan():
-    # all-frozen (2,0) code: SCAN and the oracle feed back [0, SAT] (the -SAT
-    # channel value cancels the frozen prior), fast-SCAN's Rate0 root gives [SAT, SAT]
+    # all-frozen (2,0) code: the -SAT channel value is finite, so SCAN, the
+    # oracle and fast-SCAN's Rate0 root all feed back certainty [inf, inf]
     code = code_from_mask([True, True])
     llrs = np.array([0.0, -DEFAULT_SAT])
     ref = ref_scan([True, True], llrs.tolist())

@@ -44,7 +44,7 @@ def type4_mask(size):
 
 
 def test_constant_kernels():
-    np.testing.assert_array_equal(rate0_update((2, 4)), np.full((2, 4), SAT))
+    np.testing.assert_array_equal(rate0_update((2, 4)), np.full((2, 4), np.inf))
     np.testing.assert_array_equal(rate1_update((2, 4)), np.zeros((2, 4)))
 
 

@@ -1,12 +1,12 @@
 """Seeded property-based differential tests against the straight-line oracle.
 
 Random frozen masks, node-type sets and iteration counts, with LLRs drawn
-from the values where saturating arithmetic is delicate: zeros, exact
-magnitude ties, +SAT certainty and tiny magnitudes. In min-sum both
+from the values where LLR arithmetic is delicate: zeros, exact magnitude
+ties, the channel extremes +-SAT and tiny magnitudes. In min-sum both
 decoders must agree in value with tests/reference_scan.py on all four
 outputs. In both arithmetics fast-SCAN's four outputs must equal SCAN's
-byte for byte, zero signs included. -SAT inputs are checked for SCAN alone: fast-SCAN's Rate0
-kernel cannot follow the recursion there (see test_fastscan.py).
+byte for byte, zero signs included, and -SAT reaching a frozen position
+among them.
 
 Each node kernel is also checked on its own against a one-iteration SCAN
 over its frozen pattern, in value and in both arithmetics, and every
@@ -14,12 +14,14 @@ compiled schedule against the partition and maximality rules of
 schedule.py.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import code_from_mask
-from polarscan import FastScanDecoder, ScanConfig, ScanDecoder
+from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, scan
 from polarscan.arithmetic import DEFAULT_SAT
 from polarscan.fastscan import _KERNELS
 from polarscan.schedule import CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES, NodeType, build_schedule, classify
@@ -30,7 +32,7 @@ SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 LLR_VALUES = st.one_of(
     st.just(0.0),
     st.sampled_from([1.5, -1.5, 2.0, -2.0]),       # exact magnitude ties
-    st.just(DEFAULT_SAT),
+    st.sampled_from([DEFAULT_SAT, -DEFAULT_SAT]),   # channel extremes
     st.sampled_from([1e-300, -1e-300]),
     st.floats(-20.0, 20.0),
 )
@@ -117,6 +119,33 @@ def test_scan_matches_oracle_with_negative_certainty(case):
     cfg = ScanConfig(iterations=iterations, arithmetic="minsum")
     out = ScanDecoder(code_from_mask(mask), cfg).decode(llrs)
     assert_matches_oracle(out, mask, llrs, iterations)
+
+
+@SETTINGS
+@given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]),
+       st.sampled_from(["minsum", "exact"]))
+def test_demands_stay_finite_and_certainty_is_plus_inf(case, types, arithmetic):
+    # after every iteration of every decode, the leaf replay's included:
+    # lam is finite, beta is finite or +inf (no NaN, no -inf)
+    mask, llrs, iterations = case
+    code = code_from_mask(mask)
+    cfg = ScanConfig(iterations=iterations, arithmetic=arithmetic)
+    runs, run_ops = [], scan._run_ops
+
+    def checked(ops, mem, *args):
+        run_ops(ops, mem, *args)
+        runs.append(ops)
+        assert np.isfinite(mem.lam).all()
+        assert not (np.isnan(mem.beta) | (mem.beta == -np.inf)).any()
+
+    # x_j is fixed by the frozen set when every u_i with i & j == j is frozen
+    fixed = [all(mask[i] for i in range(mask.size) if i & j == j) for j in range(mask.size)]
+    with mock.patch.object(scan, "_run_ops", checked):
+        for dec in (ScanDecoder(code, cfg), FastScanDecoder(code, cfg, enabled_types=types)):
+            out = dec.decode(llrs)
+            assert np.isfinite(out.leaf_extrinsic).all()
+            np.testing.assert_array_equal(out.root_extrinsic == np.inf, np.broadcast_to(fixed, llrs.shape))
+    assert len(runs) >= 2 * iterations
 
 
 # Leading frozen positions of each kernel's pattern F^j I^(size-j).

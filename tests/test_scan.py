@@ -20,12 +20,13 @@ from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
 
 SAT = DEFAULT_SAT
+inf = np.inf
 
 
 def test_init_messages_8_4():
     code = build_code(8, 4)
     mem = init_messages(code, np.zeros(8))
-    np.testing.assert_array_equal(mem.beta[0][0], [SAT, SAT, SAT, 0, SAT, 0, 0, 0])
+    np.testing.assert_array_equal(mem.beta[0][0], [inf, inf, inf, 0, inf, 0, 0, 0])
     assert not mem.lam[:3].any()
     assert not mem.beta[1:].any()
 
@@ -49,7 +50,7 @@ def test_size2_example():
 def test_rate0_feedback_is_certainty(rng):
     code = build_code(8, 0)
     out = scan_decode(code, rng.normal(size=8))
-    np.testing.assert_array_equal(out.root_extrinsic, np.full(8, SAT))
+    np.testing.assert_array_equal(out.root_extrinsic, np.full(8, inf))
     np.testing.assert_array_equal(out.x_hat, np.zeros(8, dtype=np.uint8))
 
 
@@ -100,7 +101,7 @@ def test_channel_and_priors_untouched(rng, final_memory):
     dec.decode(llrs)
     mem, = final_memory
     np.testing.assert_array_equal(mem.lam[code.n], llrs)
-    expected = np.where(code.frozen_mask, SAT, 0.0)
+    expected = np.where(code.frozen_mask, inf, 0.0)
     np.testing.assert_array_equal(mem.beta[0], np.broadcast_to(expected, (3, 16)))
 
 
@@ -149,15 +150,15 @@ def test_batch_matches_single(rng):
 
 
 def test_certainty_conflict_erases_feedback():
-    # -SAT channel on an all-frozen code: +SAT + -SAT cancels to 0, and the
-    # hard decision then follows the (contradicting) channel
+    # -SAT channel on an all-frozen code: -SAT is a finite channel value, so
+    # the frozen certainty +inf absorbs it and the bits decide 0
     code = build_code(2, 0)
     out = scan_decode(code, np.array([-SAT, -SAT]))
     ref = ref_scan([True, True], [-SAT, -SAT])
-    np.testing.assert_array_equal(out.root_extrinsic, [0.0, 0.0])
+    np.testing.assert_array_equal(out.root_extrinsic, [inf, inf])
     np.testing.assert_array_equal(out.root_extrinsic, ref["beta_n"])
     np.testing.assert_array_equal(out.x_hat, ref["x_hat"])
-    np.testing.assert_array_equal(out.x_hat, [1, 1])
+    np.testing.assert_array_equal(out.x_hat, [0, 0])
 
 
 def test_tie_breaks_to_zero():

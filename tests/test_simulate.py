@@ -83,7 +83,8 @@ def test_invalid_inputs():
         with pytest.raises(ValueError, match="ebn0_db must be a sequence"):
             run_sim(code, spec, ChannelConfig(ebn0_db=ebn0, seed=1))
     for name, value in (("workers", 0), ("workers", -2), ("workers", 1.5), ("max_frames", 100.5),
-                        ("chunk_frames", 2.5)):
+                        ("chunk_frames", 2.5), ("min_block_errors", 0), ("min_block_errors", -1),
+                        ("min_block_errors", 2.5)):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value}"):
             run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), **{"max_frames": 64, name: value})
     with pytest.raises(ValueError):
