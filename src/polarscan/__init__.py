@@ -11,7 +11,7 @@ from .codes import (
     extract_info,
     insert_info,
 )
-from .fastscan import FastScanDecoder, fast_scan_decode
+from .fastscan import DecoderSpec, FastScanDecoder, fast_scan_decode
 from .latency import LatencyReport, gain, latency_table, ppc_latency, scan_latency, schedule_latency
 from .product import PpcConfig, PpcOutput, ProductPolarCode, ppc_decode, ppc_encode
 from .scan import MessageMemory, ScanConfig, ScanDecoder, ScanOutput, init_messages, scan_decode
@@ -31,7 +31,6 @@ from .schedule import (
 from .sequences import ReliabilitySequence, default_sequence, load_reliability_sequence, subcode_order
 from .simulate import (
     ChannelConfig,
-    DecoderSpec,
     SimPoint,
     SimResult,
     parse_ebn0_range,

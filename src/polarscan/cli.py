@@ -11,14 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import build_code, encode as encode_op, extract_info, insert_info
-from .fastscan import build_decoder
+from .codes import _check_bits, build_code, encode as encode_op, extract_info, insert_info
+from .fastscan import DecoderSpec
 from .latency import latency_table, schedule_latency
 from .product import PpcConfig, ProductPolarCode
-from .scan import ScanConfig
 from .schedule import build_schedule, census_csv, node_census, parse_node_types
 from .sequences import load_reliability_sequence
-from .simulate import ChannelConfig, DecoderSpec, parse_ebn0_range, run_ppc_sim, run_sim
+from .simulate import ChannelConfig, parse_ebn0_range, run_ppc_sim, run_sim
 
 
 def _add_code_args(p):
@@ -53,8 +52,13 @@ def _build_code(args):
                       design_snr_db=args.design_snr)
 
 
+def _decoder_spec(args) -> DecoderSpec:
+    return DecoderSpec(kind=args.decoder, iterations=args.iters, arithmetic=args.arith,
+                       node_types=parse_node_types(args.node_types))
+
+
 def _parse_bits(text: str) -> np.ndarray:
-    return np.array([int(tok) for tok in text.replace(",", " ").split()], dtype=np.uint8)
+    return _check_bits([int(tok) for tok in text.replace(",", " ").split()])
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -85,9 +89,7 @@ def _cmd_decode(args):
     if args.llrs is None and args.llr_file is None:
         raise ValueError("decode needs --llrs or --llr-file")
     llrs = _parse_floats(Path(args.llr_file).read_text() if args.llr_file else args.llrs)
-    cfg = ScanConfig(iterations=args.iters, arithmetic=args.arith)
-    decode = build_decoder(args.decoder, code, cfg, parse_node_types(args.node_types))
-    out = decode(llrs)
+    out = _decoder_spec(args).build(code)(llrs)
     u_hat = out.u_hat
     payload = {
         "u_hat": u_hat.astype(int).tolist(),
@@ -145,10 +147,8 @@ def _cmd_schedule(args):
 
 def _cmd_simulate(args):
     code = _build_code(args)
-    spec = DecoderSpec(kind=args.decoder, iterations=args.iters, arithmetic=args.arith,
-                       node_types=parse_node_types(args.node_types))
     channel = ChannelConfig(ebn0_db=parse_ebn0_range(args.ebn0), seed=args.seed)
-    result = run_sim(code, spec, channel, max_frames=args.max_frames,
+    result = run_sim(code, _decoder_spec(args), channel, max_frames=args.max_frames,
                      min_block_errors=args.min_errors, workers=args.workers)
     _emit(result.to_csv(), args.out)
 

@@ -109,14 +109,23 @@ def butterfly_transform(u: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_bits(values) -> np.ndarray:
+    """values as uint8; raises naming the first value that is not 0 or 1."""
+    values = np.asarray(values)
+    bad = np.flatnonzero((values != 0) & (values != 1))
+    if bad.size:
+        raise ValueError(f"bits must be 0 or 1, got {values.flat[bad[0]]}")
+    return values.astype(np.uint8, copy=False)
+
+
 def encode(code: PolarCode, u: np.ndarray) -> np.ndarray:
-    """Encode a full length-N input vector; frozen positions must be 0."""
+    """Encode a full length-N vector of bits; frozen positions must be 0."""
     u = np.asarray(u)
     if u.shape[-1] != code.N:
         raise ValueError(f"u has length {u.shape[-1]}, expected {code.N}")
     if np.any(u[..., code.frozen_mask] != 0):
         raise ValueError("nonzero value in a frozen position")
-    return butterfly_transform(u)
+    return butterfly_transform(_check_bits(u))
 
 
 def insert_info(code: PolarCode, info_bits: np.ndarray) -> np.ndarray:
@@ -125,7 +134,7 @@ def insert_info(code: PolarCode, info_bits: np.ndarray) -> np.ndarray:
     if info_bits.shape[-1] != code.K:
         raise ValueError(f"info has length {info_bits.shape[-1]}, expected {code.K}")
     u = np.zeros(info_bits.shape[:-1] + (code.N,), dtype=np.uint8)
-    u[..., code.info_positions] = info_bits % 2
+    u[..., code.info_positions] = _check_bits(info_bits)
     return u
 
 

@@ -15,13 +15,15 @@ replay is the same executor, run over the unpruned subtree once per stage
 and iteration: the pruned leaves of one stage are stacked as extra frames.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import kernels
 from .codes import PolarCode
 from .scan import ScanConfig, ScanDecoder, ScanOutput, _compile, _decode
 from .sc import sc_decode
-from .schedule import DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
+from .schedule import DEFAULT_TYPES, DecodingSchedule, NodeType, _checked_types, build_schedule
 
 # NodeType -> kernel(demand, arithmetic). Kernels are looked up in their
 # module at call time, so a wrapper installed on polarscan.kernels sees them.
@@ -41,8 +43,8 @@ class FastScanDecoder:
     """Schedule-driven SCAN decoder; its outputs equal ScanDecoder's bit
     for bit, in either arithmetic.
 
-    enabled_types=None prunes the given schedule's types, or DEFAULT_TYPES
-    without one; a schedule unlike build_schedule(code, enabled_types) raises.
+    schedule=None prunes DEFAULT_TYPES; a schedule prunes the types it was
+    built with, and one built for another frozen mask raises.
 
     leaf_extrinsic=False skips the lam[0] reconstruction inside pruned
     subtrees and returns None for leaf_extrinsic; useful when only the
@@ -52,15 +54,12 @@ class FastScanDecoder:
     """
 
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None,
-                 schedule: DecodingSchedule | None = None,
-                 enabled_types: frozenset | None = None, leaf_extrinsic: bool = True):
+                 schedule: DecodingSchedule | None = None, leaf_extrinsic: bool = True):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        if enabled_types is None:
-            enabled_types = DEFAULT_TYPES if schedule is None else schedule.enabled_types
-        self.schedule = build_schedule(code, enabled_types)
-        if schedule is not None and schedule != self.schedule:
-            raise ValueError(f"schedule is not build_schedule(code, enabled_types) for the ({code.N},{code.K}) code")
+        self.schedule = build_schedule(code) if schedule is None else schedule
+        if self.schedule.code != code:
+            raise ValueError(f"schedule was built for another frozen mask than the ({code.N},{code.K}) code's")
         self.leaf_extrinsic = leaf_extrinsic
         # stage-0 leaves emit no op: their feedback is the constant beta[0]
         self._ops = _compile(code.n, {(d.stage, d.index): _KERNELS[d.kind]
@@ -76,19 +75,30 @@ def fast_scan_decode(code: PolarCode, channel_llrs: np.ndarray,
     return FastScanDecoder(code, cfg).decode(channel_llrs)
 
 
-def build_decoder(kind: str, code: PolarCode, cfg: ScanConfig | None = None,
-                  enabled_types: frozenset = DEFAULT_TYPES):
-    """Map a decoder kind ('sc', 'scan' or 'fast_scan') to a decode callable,
-    (batch, N) LLRs -> ScanOutput. SC decides hard, so its soft fields are
-    None. Callers read u_hat or root_extrinsic, so fast-SCAN skips the lam[0]
-    replay and its leaf_extrinsic is None; construct FastScanDecoder directly
-    for leaf extrinsics."""
-    if kind == "sc":
-        return lambda llrs: sc_decode(code, llrs)
-    if kind == "scan":
-        dec = ScanDecoder(code, cfg)
-    elif kind == "fast_scan":
-        dec = FastScanDecoder(code, cfg, enabled_types=enabled_types, leaf_extrinsic=False)
-    else:
-        raise ValueError(f"unknown decoder kind {kind!r}")
-    return lambda llrs: dec.decode(llrs)
+@dataclass(frozen=True)
+class DecoderSpec:
+    """Picklable decoder description; build(code) makes its decode callable."""
+
+    kind: str = "scan"               # 'sc' | 'scan' | 'fast_scan'
+    iterations: int = 1
+    arithmetic: str = "minsum"
+    node_types: frozenset = DEFAULT_TYPES
+
+    def __post_init__(self):
+        if self.kind not in ("sc", "scan", "fast_scan"):
+            raise ValueError(f"unknown decoder kind {self.kind!r}")
+        # checked here, not first in a pool initializer, which would respawn forever
+        ScanConfig(iterations=self.iterations, arithmetic=self.arithmetic)
+        _checked_types(self.node_types)
+
+    def build(self, code: PolarCode):
+        """(batch, N) LLRs -> ScanOutput. SC's soft fields are None, and so is
+        fast-SCAN's leaf_extrinsic: callers read u_hat or root_extrinsic."""
+        if self.kind == "sc":
+            return lambda llrs: sc_decode(code, llrs)
+        cfg = ScanConfig(iterations=self.iterations, arithmetic=self.arithmetic)
+        if self.kind == "scan":
+            dec = ScanDecoder(code, cfg)
+        else:
+            dec = FastScanDecoder(code, cfg, build_schedule(code, self.node_types), leaf_extrinsic=False)
+        return lambda llrs: dec.decode(llrs)   # looked up per call, so a wrapper on decode sees it

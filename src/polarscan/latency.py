@@ -51,11 +51,10 @@ def schedule_latency(schedule: DecodingSchedule) -> LatencyReport:
         total += cycles
     total += ROOT_COST
     breakdown.append(("root", ROOT_COST))
-    N = schedule.N
     return LatencyReport(
         total_cycles=total,
         per_node=tuple(breakdown),
-        gain_vs_scan=gain(scan_latency(N), total),
+        gain_vs_scan=gain(scan_latency(schedule.code.N), total),
     )
 
 

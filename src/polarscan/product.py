@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import combiner
-from .codes import PolarCode, butterfly_transform
-from .fastscan import build_decoder
-from .scan import ScanConfig, _check_count
+from .codes import PolarCode, _check_bits, butterfly_transform
+from .fastscan import DecoderSpec
+from .scan import _check_count
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class PpcOutput:
 
 def ppc_encode(ppc: ProductPolarCode, info_matrix: np.ndarray) -> np.ndarray:
     """Embed info on the (col-info x row-info) grid, then encode rows, then columns."""
-    info = np.asarray(info_matrix, dtype=np.uint8)
+    info = _check_bits(info_matrix)
     single = info.ndim == 2
     info = info[None] if single else info
     if info.shape[-2:] != ppc.info_shape:
@@ -117,9 +117,8 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     if decoder == "sc":
         raise ValueError("component decoders exchange soft output; 'sc' has none")
 
-    scan_cfg = ScanConfig(iterations=cfg.inner_scan_iterations, arithmetic=cfg.arithmetic)
-    row_dec = build_decoder(decoder, ppc.row_code, scan_cfg)
-    col_dec = build_decoder(decoder, ppc.col_code, scan_cfg)
+    spec = DecoderSpec(decoder, cfg.inner_scan_iterations, cfg.arithmetic)
+    row_dec, col_dec = spec.build(ppc.row_code), spec.build(ppc.col_code)
 
     x_hat = np.zeros((B, N_c, N_r), dtype=np.uint8)
     iters = np.full(B, cfg.half_iteration_pairs, dtype=int)

@@ -87,12 +87,9 @@ def classify(frozen_slice: np.ndarray, enabled_types: frozenset = DEFAULT_TYPES)
 
 @dataclass(frozen=True)
 class DecodingSchedule:
+    code: PolarCode         # the code it was compiled for; build_schedule is its only maker
     nodes: tuple            # NodeDescriptors, depth-first order, root first
     enabled_types: frozenset
-
-    @property
-    def N(self) -> int:
-        return self.nodes[0].size
 
     @property
     def node_count(self) -> int:
@@ -130,7 +127,7 @@ def build_schedule(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) ->
             rec(t - 1, 2 * i + 1)
 
     rec(code.n, 0)
-    return DecodingSchedule(nodes=tuple(nodes), enabled_types=enabled)
+    return DecodingSchedule(code=code, nodes=tuple(nodes), enabled_types=enabled)
 
 
 def node_census(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) -> dict:

@@ -9,7 +9,9 @@ computed them. The resulting CSV is byte-identical for 1 or many workers.
 """
 
 import csv
+import functools
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,29 +20,11 @@ import numpy as np
 
 from .channel import channel_llrs, modulate, noise_sigma
 from .codes import PolarCode, encode, extract_info, insert_info
-from .fastscan import build_decoder
+from .fastscan import DecoderSpec
 from .product import PpcConfig, ProductPolarCode, ppc_decode, ppc_encode
-from .scan import ScanConfig, _check_count
-from .schedule import DEFAULT_TYPES, _checked_types
+from .scan import _check_count
 
 CHUNK_FRAMES = 256
-
-
-@dataclass(frozen=True)
-class DecoderSpec:
-    """Picklable decoder description; workers build the decoder lazily."""
-
-    kind: str = "scan"               # 'sc' | 'scan' | 'fast_scan'
-    iterations: int = 1
-    arithmetic: str = "minsum"
-    node_types: frozenset = DEFAULT_TYPES
-
-    def __post_init__(self):
-        if self.kind not in ("sc", "scan", "fast_scan"):
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
-        # checked here, not first in a pool initializer, which would respawn forever
-        ScanConfig(iterations=self.iterations, arithmetic=self.arithmetic)
-        _checked_types(self.node_types)
 
 
 @dataclass(frozen=True)
@@ -84,8 +68,7 @@ class SimResult:
 
 
 def _polar_runner(code: PolarCode, spec: DecoderSpec):
-    cfg = ScanConfig(iterations=spec.iterations, arithmetic=spec.arithmetic)
-    decoder = build_decoder(spec.kind, code, cfg, spec.node_types)
+    decoder = spec.build(code)
 
     def run(point_idx, chunk_idx, ebn0_db, seed, frames):
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
@@ -117,21 +100,25 @@ def _ppc_runner(ppc: ProductPolarCode, cfg: PpcConfig, decoder: str):
 # per-process runner installed by the pool initializer
 _worker_state: dict = {}
 
-_RUNNER_BUILDERS = {"polar": _polar_runner, "ppc": _ppc_runner}
+
+def _init_worker(build_runner, args):
+    _worker_state["run"] = build_runner(*args)
 
 
-def _init_worker(kind, args):
-    _worker_state["run"] = _RUNNER_BUILDERS[kind](*args)
+def _run_chunk(task):
+    return _worker_state["run"](*task)
 
 
-def _worker_chunk(task):
-    point_idx, chunk_idx = task[0], task[1]
-    return (point_idx, chunk_idx) + _worker_state["run"](*task)
+def _in_waves(map_wave, tasks, workers: int):
+    """Results of map_wave over the tasks in order, one wave of `workers` tasks at a time."""
+    tasks = iter(tasks)
+    while wave := list(itertools.islice(tasks, workers)):
+        yield from map_wave(wave)
 
 
-def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: int,
+def _estimate(build_runner, runner_args, result: SimResult, ebn0_points, seed: int,
               max_frames: int, min_block_errors: int, workers: int, chunk_frames: int) -> SimResult:
-    """Shared chunk-wave loop; identical chunk schedule for any worker count."""
+    """Shared chunk loop; identical chunk schedule for any worker count."""
     if np.ndim(ebn0_points) != 1:
         raise ValueError(f"ebn0_db must be a sequence of Eb/N0 values, got {ebn0_points!r}")
     if len(ebn0_points) == 0:
@@ -146,42 +133,23 @@ def _estimate(runner_kind, runner_args, result: SimResult, ebn0_points, seed: in
         import multiprocessing as mp
 
         pool = mp.get_context().Pool(workers, initializer=_init_worker,
-                                     initargs=(runner_kind, runner_args))
+                                     initargs=(build_runner, runner_args))
+        map_wave = functools.partial(pool.map, _run_chunk)
+    else:
+        map_wave = functools.partial(itertools.starmap, build_runner(*runner_args))
     try:
-        run = _RUNNER_BUILDERS[runner_kind](*runner_args) if pool is None else None
         for point_idx, ebn0 in enumerate(ebn0_points):
             point = SimPoint(ebn0_db=float(ebn0))
-            next_chunk = 0
-            done = False
-            while not done:
-                # one wave of chunks, sized to keep all workers busy
-                wave = []
-                budget_left = max_frames - point.frames
-                for w in range(workers):
-                    frames = min(chunk_frames, budget_left - w * chunk_frames)
-                    if frames <= 0:
-                        break
-                    wave.append((next_chunk + w, frames))
-                if not wave:
+            # chunk c holds min(chunk_frames, max_frames - c * chunk_frames) frames
+            tasks = ((point_idx, c, float(ebn0), seed, min(chunk_frames, max_frames - c * chunk_frames))
+                     for c in range(-(-max_frames // chunk_frames)))
+            # fold results in chunk order; stop at the chunk that reaches the error target
+            for frames, blk, bits in _in_waves(map_wave, tasks, workers):
+                point.frames += frames
+                point.block_errors += blk
+                point.bit_errors += bits
+                if point.block_errors >= min_block_errors:
                     break
-                if pool is None:
-                    outs = [
-                        (point_idx, c) + run(point_idx, c, float(ebn0), seed, fr)
-                        for c, fr in wave
-                    ]
-                else:
-                    tasks = [(point_idx, c, float(ebn0), seed, fr) for c, fr in wave]
-                    outs = pool.map(_worker_chunk, tasks)
-                # fold results in chunk order; truncate at the stopping chunk
-                outs.sort(key=lambda o: o[1])
-                for _, _, frames, blk, bits in outs:
-                    point.frames += frames
-                    point.block_errors += blk
-                    point.bit_errors += bits
-                    if point.block_errors >= min_block_errors or point.frames >= max_frames:
-                        done = True
-                        break
-                next_chunk += len(wave)
             result.points.append(point)
     finally:
         if pool is not None:
@@ -196,7 +164,7 @@ def run_sim(code: PolarCode, spec: DecoderSpec, channel: ChannelConfig,
             workers: int = 1, chunk_frames: int = CHUNK_FRAMES) -> SimResult:
     """Estimate BLER/BER per SNR point for a single polar code."""
     result = SimResult(code_label=f"({code.N},{code.K})", K=code.K)
-    return _estimate("polar", (code, spec), result, channel.ebn0_db, channel.seed,
+    return _estimate(_polar_runner, (code, spec), result, channel.ebn0_db, channel.seed,
                      max_frames, min_block_errors, workers, chunk_frames)
 
 
@@ -207,7 +175,7 @@ def run_ppc_sim(ppc: ProductPolarCode, cfg: PpcConfig, channel: ChannelConfig,
     """Estimate BLER/BER per SNR point for a product polar code."""
     label = f"({ppc.row_code.N},{ppc.row_code.K})x({ppc.col_code.N},{ppc.col_code.K})"
     result = SimResult(code_label=label, K=ppc.K)
-    return _estimate("ppc", (ppc, cfg, decoder), result, channel.ebn0_db, channel.seed,
+    return _estimate(_ppc_runner, (ppc, cfg, decoder), result, channel.ebn0_db, channel.seed,
                      max_frames, min_block_errors, workers, chunk_frames)
 
 

@@ -140,8 +140,13 @@ def scaled_deviation(a, b) -> float:
     floor. Exact-mode extrinsics shrink exponentially with node size (a
     product of tanh factors), so two valid association orders agree to
     machine epsilon absolutely while a pure relative measure blows up on
-    the tiniest outputs."""
-    return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))))
+    the tiniest outputs. Non-finite entries (certainty is +inf) must match
+    exactly, else the deviation is inf; it is taken over the finite rest."""
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not np.array_equal(a[~finite], b[~finite]):
+        return math.inf
+    a, b = a[finite], b[finite]
+    return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))), initial=0.0))
 
 
 @pytest.mark.slow

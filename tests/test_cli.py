@@ -33,6 +33,13 @@ def test_encode(capsys):
     assert len(bits) == 8 and set(bits) <= {0, 1}
 
 
+def test_encode_rejects_info_that_is_not_bits(capsys):
+    for info, bad in (("1,2,0,1", "2"), ("1,-1,0,1", "-1")):
+        rc, out, err = run_cli(capsys, "encode", "--n", "8", "--k", "4", "--info", info)
+        assert rc == 1 and out == ""
+        assert err == f"error: bits must be 0 or 1, got {bad}\n"
+
+
 def test_decode_roundtrip(capsys):
     rc, out, _ = run_cli(capsys, "encode", "--n", "8", "--k", "4", "--info", "1,0,1,1")
     x = [int(t) for t in out.strip().split(",")]

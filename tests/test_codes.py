@@ -81,6 +81,20 @@ def test_encode_rejects_nonzero_frozen():
         encode(code, u)
 
 
+def test_bits_are_checked_where_they_enter():
+    # a value other than 0 or 1 used to be read modulo 2 (0.7 as 0, 2 as 0)
+    code = build_code(8, 4)
+    for info, bad in (([1, 0.7, 0, 1], "0.7"), ([1, 2, 0, 1], "2"), ([1, -1, 0, 1], "-1"),
+                      ([1, np.nan, 0, 1], "nan")):
+        with pytest.raises(ValueError, match=f"0 or 1, got {bad}$"):
+            insert_info(code, info)
+    u = insert_info(code, [1, 1, 0, 1])
+    u[3] = 2  # an information position
+    with pytest.raises(ValueError, match="0 or 1, got 2$"):
+        encode(code, u)
+    np.testing.assert_array_equal(insert_info(code, [True, False, True, True]), [0, 0, 0, 1, 0, 0, 1, 1])
+
+
 def test_insert_extract_roundtrip(rng):
     for N, K in [(16, 5), (64, 40), (128, 100)]:
         code = build_code(N, K)

@@ -1,10 +1,14 @@
 """Schedule-driven decoder equivalence with the full message-passing decoder."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import code_from_mask
 from polarscan import (
+    DEFAULT_TYPES,
+    DecoderSpec,
     FastScanDecoder,
     KERNEL_TYPES,
     ScanConfig,
@@ -14,7 +18,8 @@ from polarscan import (
     fast_scan_decode,
     scan_decode,
 )
-from polarscan import scan
+from polarscan import fastscan, kernels, scan
+from polarscan.cli import main
 from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
 
@@ -55,7 +60,7 @@ def test_all_types_enabled_still_identical(rng):
     llrs = rng.normal(size=(16, 64)) * 2.0
     cfg = ScanConfig(iterations=2, arithmetic="minsum")
     full = scan_decode(code, llrs, cfg)
-    fast = FastScanDecoder(code, cfg, enabled_types=KERNEL_TYPES).decode(llrs)
+    fast = FastScanDecoder(code, cfg, schedule=build_schedule(code, KERNEL_TYPES)).decode(llrs)
     assert_outputs_equal(full, fast)
 
 
@@ -79,13 +84,52 @@ def test_schedule_code_mismatch():
         FastScanDecoder(build_code(64, 40), schedule=build_schedule(build_code(64, 32)))
     code = build_code(64, 32)
     FastScanDecoder(code, schedule=build_schedule(code))
-    # a schedule fixes the pruned types: another enabled_types conflicts with it
-    with pytest.raises(ValueError, match="enabled_types"):
-        FastScanDecoder(code, schedule=build_schedule(code), enabled_types=frozenset())
     dec = FastScanDecoder(code, schedule=build_schedule(code, KERNEL_TYPES))
     assert dec.schedule.enabled_types == KERNEL_TYPES
     # frozenset() is a type set (constant nodes only), not "use the default"
-    assert FastScanDecoder(code, enabled_types=frozenset()).schedule.node_count == 47
+    assert FastScanDecoder(code, schedule=build_schedule(code, frozenset())).schedule.node_count == 47
+
+
+def spy(monkeypatch, module, name):
+    """Calls of module.name, counted while the test runs."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_node_types_reach_the_decoder(monkeypatch, capsys):
+    # outputs are identical whatever the pruning, so watch the kernel instead:
+    # FFFFFIII is one TypeII node under KERNEL_TYPES, Internal under DEFAULT_TYPES
+    code = build_code(8, 3)
+    assert code == code_from_mask([True] * 5 + [False] * 3)
+    type2 = spy(monkeypatch, kernels, "type2_update")
+    llrs = np.full(8, 2.0)
+    argv = ["decode", "--n", "8", "--k", "3", "--decoder", "fast_scan", "--llrs", "2,2,2,2,2,2,2,2"]
+    for types, option, used in ((DEFAULT_TYPES, "default", False), (KERNEL_TYPES, "all", True)):
+        DecoderSpec("fast_scan", node_types=types).build(code)(llrs)
+        assert bool(type2) is used
+        type2.clear()
+        assert main(argv + ["--node-types", option]) == 0
+        assert json.loads(capsys.readouterr().out)["x_hat"] == [0] * 8
+        assert bool(type2) is used
+        type2.clear()
+
+
+def test_each_construction_builds_its_schedule_at_most_once(monkeypatch):
+    # a given schedule is used as it is, not rebuilt to be compared
+    code = build_code(64, 32)
+    sched = build_schedule(code)
+    builds = spy(monkeypatch, fastscan, "build_schedule")
+    for make, want in ((lambda: FastScanDecoder(code), 1), (lambda: FastScanDecoder(code, schedule=sched), 0),
+                       (lambda: DecoderSpec("fast_scan").build(code), 1)):
+        builds.clear()
+        make()
+        assert len(builds) == want
 
 
 def test_leaf_extrinsic_flag(rng):
@@ -137,7 +181,7 @@ def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, final_memory, batch, 
     full = ScanDecoder(code, cfg)
     want = full.decode(llrs).leaf_extrinsic
     full_mem = final_memory[-1]
-    for kw in ({}, {"enabled_types": KERNEL_TYPES}):
+    for kw in ({}, {"schedule": build_schedule(code, KERNEL_TYPES)}):
         dec = FastScanDecoder(code, cfg, **kw)
         np.testing.assert_array_equal(_bits(dec.decode(llrs).leaf_extrinsic), _bits(want))
         np.testing.assert_array_equal(_bits(final_memory[-1].lam[0]), _bits(full_mem.lam[0]))

@@ -56,6 +56,15 @@ def test_encode_shape_mismatch():
         ppc_encode(ppc, np.zeros((3, 2), dtype=np.uint8))
 
 
+def test_encode_rejects_values_that_are_not_bits():
+    ppc = square_ppc(4, 2)
+    info = np.array([[1, 0], [2, 1]])
+    with pytest.raises(ValueError, match="0 or 1, got 2$"):
+        ppc_encode(ppc, info)
+    with pytest.raises(ValueError, match="0 or 1, got 0.25$"):
+        ppc_encode(ppc, info[None] / 4)
+
+
 def test_noiseless_decodes_in_one_pair(rng):
     ppc = square_ppc(8, 5)
     info = rng.integers(0, 2, size=ppc.info_shape).astype(np.uint8)

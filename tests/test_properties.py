@@ -85,7 +85,7 @@ def test_scan_and_fast_scan_match_oracle(case, types):
     code = code_from_mask(mask)
     cfg = ScanConfig(iterations=iterations, arithmetic="minsum")
     assert_matches_oracle(ScanDecoder(code, cfg).decode(llrs), mask, llrs, iterations)
-    fast = FastScanDecoder(code, cfg, enabled_types=types)
+    fast = FastScanDecoder(code, cfg, schedule=build_schedule(code, types))
     assert_matches_oracle(fast.decode(llrs), mask, llrs, iterations)
 
 
@@ -94,7 +94,7 @@ def assert_fast_scan_equals_scan(case, types, arithmetic):
     code = code_from_mask(mask)
     cfg = ScanConfig(iterations=iterations, arithmetic=arithmetic)
     want = ScanDecoder(code, cfg).decode(llrs)
-    got = FastScanDecoder(code, cfg, enabled_types=types).decode(llrs)
+    got = FastScanDecoder(code, cfg, schedule=build_schedule(code, types)).decode(llrs)
     for field in ("leaf_extrinsic", "root_extrinsic", "x_hat", "u_hat"):
         np.testing.assert_array_equal(getattr(got, field).view(np.uint8),
                                       getattr(want, field).view(np.uint8), err_msg=field)
@@ -110,15 +110,6 @@ def test_fast_scan_equals_scan_in_exact_mode(case, types):
 @given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
 def test_fast_scan_equals_scan_in_minsum_mode(case, types):
     assert_fast_scan_equals_scan(case, types, "minsum")
-
-
-@SETTINGS
-@given(cases(st.one_of(LLR_VALUES, st.just(-DEFAULT_SAT))))
-def test_scan_matches_oracle_with_negative_certainty(case):
-    mask, llrs, iterations = case
-    cfg = ScanConfig(iterations=iterations, arithmetic="minsum")
-    out = ScanDecoder(code_from_mask(mask), cfg).decode(llrs)
-    assert_matches_oracle(out, mask, llrs, iterations)
 
 
 @SETTINGS
@@ -141,7 +132,7 @@ def test_demands_stay_finite_and_certainty_is_plus_inf(case, types, arithmetic):
     # x_j is fixed by the frozen set when every u_i with i & j == j is frozen
     fixed = [all(mask[i] for i in range(mask.size) if i & j == j) for j in range(mask.size)]
     with mock.patch.object(scan, "_run_ops", checked):
-        for dec in (ScanDecoder(code, cfg), FastScanDecoder(code, cfg, enabled_types=types)):
+        for dec in (ScanDecoder(code, cfg), FastScanDecoder(code, cfg, schedule=build_schedule(code, types))):
             out = dec.decode(llrs)
             assert np.isfinite(out.leaf_extrinsic).all()
             np.testing.assert_array_equal(out.root_extrinsic == np.inf, np.broadcast_to(fixed, llrs.shape))

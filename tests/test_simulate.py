@@ -22,6 +22,10 @@ def small_run(workers, decoder="scan", seed=11, max_frames=1500, min_errors=40):
                    min_block_errors=min_errors, workers=workers)
 
 
+def counts(res):
+    return tuple((p.frames, p.block_errors, p.bit_errors) for p in res.points)
+
+
 def test_worker_count_does_not_change_results():
     a = small_run(workers=1)
     b = small_run(workers=2)
@@ -62,6 +66,17 @@ def test_stopping_rules():
     for p in res.points:
         assert p.block_errors >= 5
         assert p.frames < 10 ** 6  # error target reached much earlier
+    # pinned counts: the stopping chunk is the same for every worker count
+    code, comp = build_code(64, 32), build_code(16, 11)
+    chan = ChannelConfig((1.0, 3.0), seed=11)
+    for workers in (1, 2, 3):
+        polar = [counts(run_sim(code, DecoderSpec("scan", 1), chan, max_frames=300, min_block_errors=m,
+                                workers=workers, chunk_frames=64)) for m in (10, 20)]
+        assert polar == [((64, 24, 168), (256, 14, 116)),   # stops mid-wave
+                         ((64, 24, 168), (300, 15, 120))]   # the budget ends on a 44-frame chunk
+        product = run_ppc_sim(ProductPolarCode(comp, comp), PpcConfig(2), ChannelConfig((2.0, 3.5), seed=9),
+                              max_frames=50, min_block_errors=5, workers=workers, chunk_frames=8)
+        assert counts(product) == ((16, 6, 196), (50, 1, 2))
 
 
 def test_high_snr_zero_errors():
