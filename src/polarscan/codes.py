@@ -96,17 +96,21 @@ def build_code(N: int, K: int, method: str = "5g",
 
 
 def butterfly_transform(u: np.ndarray) -> np.ndarray:
-    """x = u * G2^(kron n) over GF(2), along the last axis. Self-inverse."""
+    """x = u * G2^(kron n) over GF(2), along the last axis. Self-inverse.
+
+    The XOR levels run over a positions-first copy, frames last, so every
+    level XORs runs of h * frames contiguous bytes instead of h; the result
+    is C-contiguous in the caller's layout."""
     u = np.asarray(u)
     N = u.shape[-1]
     _check_dims(N, 0)
-    x = (u % 2).astype(np.uint8)
+    x = np.moveaxis(u % 2, -1, 0).astype(np.uint8, order="C")
     h = 1
     while h < N:
-        shaped = x.reshape(x.shape[:-1] + (N // (2 * h), 2, h))
-        shaped[..., 0, :] ^= shaped[..., 1, :]
+        shaped = x.reshape((N // (2 * h), 2, h) + x.shape[1:])
+        shaped[:, 0] ^= shaped[:, 1]
         h *= 2
-    return x
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 def _check_bits(values) -> np.ndarray:

@@ -23,7 +23,9 @@ zero can differ. Min-sum SPC takes the two-smallest-magnitudes form
 instead of its fold: min-sum copies magnitudes, so any order gives the
 same values, and the direct form is faster.
 
-Every kernel accepts a batch axis and is stateless.
+Every kernel accepts a batch axis and is stateless. stair_demands runs the
+same level split top-down to give SCAN's stage-0 demands inside such a
+node, which fast-SCAN's leaf extrinsics read.
 """
 
 import numpy as np
@@ -52,6 +54,78 @@ def _level(lam, j, inner, arithmetic=None):
     g = sat_add if j > h else combiner(arithmetic)
     folded = inner(g(lo, hi))
     return np.concatenate([g(hi, folded), g(lo, folded)], axis=-1)
+
+
+def stair_demands(lam, prev, j, arithmetic, child):
+    """Turn an F^j I^(s-j) node's demand into the stage-0 demands of SCAN's
+    unpruned subtree after the final iteration, in place over lam (..., s).
+
+    prev is the node's demand one iteration earlier, None in a one-iteration
+    decode; child(h, j) is the kernel of an F^j I^(h-j) node. Level by
+    level, top-down: at half-size h, with halves a, b of each node of size
+    2h, the nodes below (j // 2h) * 2h are Rate0, those from
+    ceil(j / 2h) * 2h on are Rate1, and at most one stair node lies between,
+    split as in _level:
+
+    * Rate0: left a + 0.0, right (a + 0.0) + b. In a one-iteration decode the
+      left demand above stage 1 is f(a, b): the right sibling has not fed
+      back yet.
+    * Rate1: left f(a, b), right f(a, 0) + b.
+    * stair, j >= h: the left child is Rate0. Left f(a, b + br), right
+      (a + 0.0) + b, where br is the right child's kernel on its previous
+      demand (prev's a + b), 0 in a one-iteration decode or when the right
+      child is Rate1.
+    * stair, j < h: the right child is Rate1. Left f(a, b), right
+      f(a, bl) + b, where bl is the left child's kernel on its new demand.
+
+    a + 0.0 is f(a, +inf) bit for bit (both turn -0.0 into +0.0), and each
+    rule runs SCAN's operations on operands equal to SCAN's in value. Those
+    that may differ in the sign of a zero reach only f, which ignores it,
+    so lam ends equal to SCAN's stage-0 demands bit for bit.
+    """
+    f = combiner(arithmetic)
+    s = lam.shape[-1]
+    one_iteration = prev is None
+    # the lowest half-size g whose stair node reads feedback from the iteration before
+    last_br = min((1 << k for k in range(s.bit_length() - 1) if j % (2 << k) > 1 << k), default=s)
+    h = s // 2
+    while h:
+        w = 2 * h
+        lo, hi = j // w * w, -(-j // w) * w
+        if lo:
+            a, b = _node_halves(lam[..., :lo], h)
+            if one_iteration and h > 1:
+                left = f(a, b)
+                b += a + 0.0
+                a[...] = left
+            else:
+                a += 0.0
+                b += a
+        if hi < s:
+            a, b = _node_halves(lam[..., hi:], h)
+            left = f(a, b)
+            b += f(a, 0.0)
+            a[...] = left
+        if lo < hi:
+            a, b = lam[..., lo:lo + h], lam[..., lo + h:hi]
+            if prev is not None and last_br <= h:
+                pa, pb = prev[..., :h], prev[..., h:]
+                prev = pa + pb if j - lo >= h else f(pa, pb)   # the next stair node's
+            if j - lo >= h:
+                br = child(h, j - lo - h)(prev, arithmetic) if j - lo > h and not one_iteration else None
+                left = f(a, b) if br is None else f(a, b + br)
+                b += a + 0.0
+            else:
+                left = f(a, b)
+                b += f(a, child(h, j - lo)(left, arithmetic))
+            a[...] = left
+        h //= 2
+
+
+def _node_halves(x, h):
+    """Views of the left and right halves of each size-2h node of x (..., m)."""
+    v = x.reshape(x.shape[:-1] + (x.shape[-1] // (2 * h), 2, h))
+    return v[..., 0, :], v[..., 1, :]
 
 
 def rate0_update(shape) -> np.ndarray:

@@ -118,7 +118,8 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
         raise ValueError("component decoders exchange soft output; 'sc' has none")
 
     spec = DecoderSpec(decoder, cfg.inner_scan_iterations, cfg.arithmetic)
-    row_dec, col_dec = spec.build(ppc.row_code), spec.build(ppc.col_code)
+    row_dec = spec.build(ppc.row_code)
+    col_dec = row_dec if ppc.col_code == ppc.row_code else spec.build(ppc.col_code)
 
     x_hat = np.zeros((B, N_c, N_r), dtype=np.uint8)
     iters = np.full(B, cfg.half_iteration_pairs, dtype=int)

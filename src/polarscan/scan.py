@@ -38,7 +38,10 @@ executes one iteration in a plain loop; the f(a, bl) of each node whose
 right subtree is running waits on a stack, as the ops nest. SCAN is this
 executor over the unpruned tree, whose stage-0 leaves emit no op as beta[0]
 never changes; fast-SCAN (fastscan.py) runs it over a pruned schedule.
-Both decoders share one decode body, _decode.
+Both decoders share one decode body, _decode, which runs the executor once
+per iteration. A pruned schedule leaves lam[0] inside its kernel leaves
+unwritten; with leaf extrinsics on, _decode fills it after the last
+iteration from each leaf's final demand and the one before it.
 """
 
 import numbers
@@ -90,19 +93,14 @@ class ScanOutput:
 
 
 def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
-    """Fresh memory: clamped channel LLRs at stage n, frozen +inf at stage 0, zeros elsewhere."""
+    """Fresh memory: clamped channel LLRs at stage n, frozen +inf at stage 0,
+    zeros elsewhere; (n+1, batch, N) arrays stored frames last."""
     llrs = checked_llrs(channel_llrs, code.N)
-    mem = _zero_memory(code.n, llrs.shape[0])
+    shape = (code.n + 1, code.N, llrs.shape[0])
+    mem = MessageMemory(lam=np.zeros(shape).transpose(0, 2, 1), beta=np.zeros(shape).transpose(0, 2, 1))
     mem.lam[code.n] = clamp(llrs)
     mem.beta[0][:, code.frozen_mask] = np.inf
     return mem
-
-
-def _zero_memory(n: int, batch: int) -> MessageMemory:
-    """All-zero lam/beta of shape (n+1, batch, 2^n), frames last in memory."""
-    shape = (n + 1, 1 << n, batch)
-    return MessageMemory(lam=np.zeros(shape).transpose(0, 2, 1),
-                         beta=np.zeros(shape).transpose(0, 2, 1))
 
 
 _LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
@@ -141,9 +139,8 @@ def _unpruned_ops(n: int) -> tuple:
     return _compile(n, {})
 
 
-def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list | None = None) -> None:
-    """One decoding iteration; kernel leaves append copies of their demands
-    to log in visit order, when one is given."""
+def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig) -> None:
+    """One decoding iteration."""
     lam, beta, arithmetic = mem.lam, mem.beta, cfg.arithmetic
     f = combiner(arithmetic)
     pending = []   # f(a, bl) of each node whose right subtree is running
@@ -158,35 +155,7 @@ def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list | None =
             beta[a] = f(beta[l], sat_add(lam[b], beta[r]))
             beta[b] = sat_add(beta[r], pending.pop())
         else:   # kernel leaf: a is the node, b its kernel
-            demand = lam[a]
-            if log is not None:
-                log.append(demand.copy())
-            beta[a] = b(demand, arithmetic)
-
-
-def _replay_leaves(ops: tuple, mem: MessageMemory, cfg: ScanConfig, log: list) -> None:
-    """Fill lam[0] inside each kernel leaf of ops by running the unpruned
-    subtree of the leaf on the demands _run_ops logged for it, one per
-    iteration. A subtree only sees its own demand and its own beta[0], both
-    per frame, so the leaves of one stage are replayed together as extra
-    frames: one _run_ops call per stage and iteration, with leaf g in frame
-    rows [g*B, (g+1)*B). Log entries are dropped as they are copied in."""
-    leaves = [a for op, a, *_ in ops if op == _LEAF]
-    B, L = mem.lam.shape[1], len(leaves)
-    for t in sorted({t for t, _, _ in leaves}):
-        group = [(s, span) for s, (u, _, span) in enumerate(leaves) if u == t]
-        group = [(s, span, slice(g * B, (g + 1) * B)) for g, (s, span) in enumerate(group)]
-        local = _zero_memory(t, B * len(group))
-        for _, span, rows in group:
-            local.beta[0][rows] = mem.beta[0][:, span]
-        for first in range(0, len(log), L):
-            for s, _, rows in group:
-                local.lam[t][rows] = log[first + s]
-                log[first + s] = None
-            _run_ops(_unpruned_ops(t), local, cfg)
-        for _, span, rows in group:
-            mem.lam[0][:, span] = local.lam[0][rows]
-        del local   # free this group's memory before the next is allocated
+            beta[a] = b(lam[a], arithmetic)
 
 
 def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
@@ -211,16 +180,25 @@ def _soft_output(x: np.ndarray) -> np.ndarray:
 
 def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
-    cfg.iterations runs of dec._ops, the replay of lam[0] inside kernel
-    leaves when leaf_extrinsic is set, then finalize; nothing is kept on dec."""
+    cfg.iterations runs of dec._ops, then finalize; nothing is kept on dec.
+
+    With leaf_extrinsic set, each (stage, positions, fill) of dec._fills
+    fills lam[0] inside one group of kernel leaves after the last iteration,
+    from the leaves' final demands and, when there was an iteration before,
+    their demands from it, copied out before the last one."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
-    log = [] if leaf_extrinsic else None
-    for _ in range(cfg.iterations):
-        _run_ops(dec._ops, mem, cfg, log)
-    if log:
-        _replay_leaves(dec._ops, mem, cfg, log)
+    fills = dec._fills if leaf_extrinsic else ()
+    prev = [None] * len(fills)
+    for k in range(cfg.iterations):
+        if k and k == cfg.iterations - 1:
+            prev = [mem.lam[t].T[span].swapaxes(-1, -2) for t, span, _ in fills]
+        _run_ops(dec._ops, mem, cfg)
+    for (t, span, fill), p in zip(fills, prev):
+        lam = mem.lam[t].T[span]   # (leaves, 2^t, frames), frames last like mem
+        fill(lam.swapaxes(-1, -2), p, arithmetic=cfg.arithmetic)
+        mem.lam[0].T[span] = lam
     return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 
 
@@ -231,6 +209,7 @@ class ScanDecoder:
         self.code = code
         self.cfg = cfg or ScanConfig()
         self._ops = _unpruned_ops(code.n)
+        self._fills = ()   # no kernel leaves: the executor writes every lam[0]
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, True)

@@ -19,6 +19,7 @@ from polarscan.sequences import (
     load_reliability_sequence,
     subcode_order,
 )
+from reference_scan import ref_butterfly
 
 
 def test_frozen_set_8_4():
@@ -71,6 +72,20 @@ def test_butterfly_involution(rng):
     for N in (2, 4, 8, 16, 64, 256):
         u = rng.integers(0, 2, size=(7, N), dtype=np.uint8)
         np.testing.assert_array_equal(butterfly_transform(butterfly_transform(u)), u)
+
+
+@pytest.mark.parametrize("layout", ["1-D", "2-D", "3-D", "swapped axes"])
+def test_butterfly_matches_reference_in_every_layout(rng, layout):
+    # product decoding transforms columns through a swapped-axes view
+    u = {"1-D": lambda: rng.integers(0, 2, size=64),
+         "2-D": lambda: rng.integers(0, 2, size=(5, 32), dtype=np.uint8),
+         "3-D": lambda: rng.integers(0, 2, size=(3, 4, 16)),
+         "swapped axes": lambda: np.swapaxes(rng.integers(0, 2, size=(3, 16, 8), dtype=np.uint8), -1, -2)}[layout]()
+    x = butterfly_transform(u)
+    rows = u.reshape(-1, u.shape[-1])
+    want = np.array([ref_butterfly(row.tolist()) for row in rows], dtype=np.uint8).reshape(u.shape)
+    assert x.dtype == np.uint8 and x.flags.c_contiguous
+    np.testing.assert_array_equal(x, want)
 
 
 def test_encode_rejects_nonzero_frozen():

@@ -146,12 +146,11 @@ def test_leaf_extrinsic_flag(rng):
     np.testing.assert_array_equal(fast.x_hat, full.x_hat)
 
 
-@pytest.mark.parametrize("N, K, calls", [(128, 64, 8), (1024, 512, 14)])
-def test_leaf_replay_runs_once_per_stage(monkeypatch, rng, N, K, calls):
-    # per iteration: the pruned tree, then one replay per distinct stage of the
-    # kernel leaves ((128,64): 14 leaves on stages 2, 3, 5; (1024,512): 75 on 2-7)
-    dec = FastScanDecoder(build_code(N, K), ScanConfig(iterations=2))
-    stages = {d.stage for d in dec.schedule.leaves() if d.stage > 0}
+@pytest.mark.parametrize("N, K", [(128, 64), (1024, 512)])
+def test_executor_runs_once_per_iteration(monkeypatch, rng, N, K):
+    # the leaf extrinsics come from a closed form after the decode, not from
+    # extra executor runs: one run of the pruned tree per iteration, leaf on or off
+    code = build_code(N, K)
     seen, run_ops = [], scan._run_ops
 
     def counting(*args, **kwargs):
@@ -159,32 +158,53 @@ def test_leaf_replay_runs_once_per_stage(monkeypatch, rng, N, K, calls):
         return run_ops(*args, **kwargs)
 
     monkeypatch.setattr(scan, "_run_ops", counting)
-    dec.decode(rng.normal(size=(4, N)))
-    assert len(seen) == 2 * (1 + len(stages)) == calls
+    for iters in (1, 2, 3):
+        for leaf in (True, False):
+            dec = FastScanDecoder(code, ScanConfig(iterations=iters), leaf_extrinsic=leaf)
+            seen.clear()
+            dec.decode(rng.normal(size=(4, N)))
+            assert len(seen) == iters
+            assert all(ops is dec._ops for ops in seen)
 
 
 def _bits(x):
     return np.asarray(x).view(np.int64)
 
 
-@pytest.mark.parametrize("iters", (1, 3))
-@pytest.mark.parametrize("batch", (1, 8))
-def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, final_memory, batch, iters):
-    # (1024,512) min-sum replays 34 stage-2 leaves as one group, and the stages
-    # alternate in visit order, so a leaf written to the wrong frame rows shows
-    code = build_code(1024, 512)
-    cfg = ScanConfig(iterations=iters)
-    llrs = rng.normal(size=(batch, 1024)) * 2.0 + 1.0
-    for start, value in enumerate((0.0, -0.0, DEFAULT_SAT, 1e-300, -1e-300)):
-        llrs[:, start::41] = value
-    llrs = llrs[0] if batch == 1 else llrs
-    full = ScanDecoder(code, cfg)
-    want = full.decode(llrs).leaf_extrinsic
+def _assert_leaf_demands_bit_identical(code, cfg, llrs, final_memory):
+    """leaf_extrinsic and the raw lam[0] finalize receives, bit for bit
+    against SCAN, under default and all node types."""
+    want = ScanDecoder(code, cfg).decode(llrs).leaf_extrinsic
     full_mem = final_memory[-1]
     for kw in ({}, {"schedule": build_schedule(code, KERNEL_TYPES)}):
         dec = FastScanDecoder(code, cfg, **kw)
         np.testing.assert_array_equal(_bits(dec.decode(llrs).leaf_extrinsic), _bits(want))
         np.testing.assert_array_equal(_bits(final_memory[-1].lam[0]), _bits(full_mem.lam[0]))
+
+
+@pytest.mark.parametrize("iters", (1, 2, 3, 4))
+@pytest.mark.parametrize("batch", (1, 8))
+def test_stacked_leaf_replay_is_bit_identical_at_1024(rng, final_memory, batch, iters):
+    # (1024,512) min-sum fills the leaves of each (stage, frozen count) as one
+    # group (15 Rep and 13 SPC leaves on stage 2 among them), and the groups
+    # alternate in visit order, so a leaf written to the wrong place shows
+    code = build_code(1024, 512)
+    llrs = rng.normal(size=(batch, 1024)) * 2.0 + 1.0
+    for start, value in enumerate((0.0, -0.0, DEFAULT_SAT, 1e-300, -1e-300)):
+        llrs[:, start::41] = value
+    llrs = llrs[0] if batch == 1 else llrs
+    _assert_leaf_demands_bit_identical(code, ScanConfig(iterations=iters), llrs, final_memory)
+
+
+@pytest.mark.parametrize("iters", (1, 2, 3))
+def test_leaf_demands_are_bit_identical_in_exact_arithmetic_at_128(rng, final_memory, iters):
+    # exact box-plus adds log1p corrections, so zero signs and roundings
+    # differ from min-sum's; the closed form must still reproduce every bit
+    code = build_code(128, 64)
+    llrs = rng.normal(size=(16, 128)) * 2.0 + 1.0
+    for start, value in enumerate((0.0, -0.0, DEFAULT_SAT, -DEFAULT_SAT, 1e-300)):
+        llrs[:, start::23] = value
+    _assert_leaf_demands_bit_identical(code, ScanConfig(iterations=iters, arithmetic="exact"), llrs, final_memory)
 
 
 def test_determinism(rng):

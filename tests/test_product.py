@@ -13,6 +13,7 @@ from polarscan import (
     ppc_decode,
     ppc_encode,
 )
+from polarscan import fastscan
 from polarscan.arithmetic import DEFAULT_SAT as SAT
 from polarscan.channel import channel_llrs, modulate, noise_sigma
 
@@ -171,3 +172,13 @@ def test_decode_names_nan_by_matrix_coordinates():
     llrs[2, 1, 3] = np.nan
     with pytest.raises(ValueError, match=re.escape("(frame, row, column) (2, 1, 3)")):
         ppc_decode(ppc, llrs)
+
+
+def test_square_product_code_builds_one_component_decoder(monkeypatch):
+    # equal row and column codes share one decoder, so one schedule per call
+    builds, original = [], fastscan.build_schedule
+    monkeypatch.setattr(fastscan, "build_schedule", lambda *args: builds.append(args) or original(*args))
+    for ppc, want in ((square_ppc(16, 11), 1), (ProductPolarCode(build_code(16, 11), build_code(8, 4)), 2)):
+        builds.clear()
+        ppc_decode(ppc, np.full((2,) + ppc.shape, 2.0), decoder="fast_scan")
+        assert len(builds) == want
