@@ -100,10 +100,14 @@ def _cmd_decode(args):
 
 
 def _parse_code_list(text: str):
+    """'N:K,N:K,...' -> [(N, K), ...]; raises ValueError naming a malformed entry."""
     pairs = []
     for tok in text.split(","):
-        n_str, k_str = tok.strip().split(":")
-        pairs.append((int(n_str), int(k_str)))
+        try:
+            n, k = map(int, tok.strip().split(":"))
+        except ValueError:
+            raise ValueError(f"--codes entry {tok!r} is not of the form N:K, e.g. 128:64") from None
+        pairs.append((n, k))
     return pairs
 
 

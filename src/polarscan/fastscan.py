@@ -1,54 +1,32 @@
 """Fast-SCAN: the SCAN executor (scan.py) over a pruned schedule.
 
 build_schedule turns each maximal subtree whose frozen pattern matches an
-enabled special node into a leaf. Each leaf compiles to one op that maps
-the node's current demand vector through its closed-form kernel straight
-to its feedback. Output contract and iteration semantics match
-scan_decode; both decoders run the one decode body scan._decode, and in
-min-sum and exact arithmetic alike their outputs are bit-identical.
+enabled special node into a leaf. Every such leaf is an F^j I^(s-j) node
+and compiles to one op carrying j, which maps the node's current demand
+vector through kernels.stair straight to its feedback. Output contract
+and iteration semantics match scan_decode; both decoders run the one
+decode body scan._decode, and in min-sum and exact arithmetic alike their
+outputs are bit-identical.
 
 A pruned subtree never computes its interior messages, so the leaf-level
 extrinsic lam[0] is filled in after the last iteration, in closed form.
-Every kernel leaf is an F^j I^(s-j) node, whose subtree splits at each
-level into a Rate0 or Rate1 child and a smaller such node, and inside
-Rate0 and Rate1 nodes every feedback is a constant once visited. So
-SCAN's stage-0 demands inside the leaf follow level by level from the
-leaf's final demand and, for the feedback kept from the iteration before,
-its demand one iteration earlier (kernels.stair_demands). Leaves of equal
-stage and frozen count are filled together, stacked as frames.
+A kernel leaf's subtree splits at each level into a Rate0 or Rate1 child
+and a smaller such node, and inside Rate0 and Rate1 nodes every feedback
+is a constant once visited. So SCAN's stage-0 demands inside the leaf
+follow level by level from the leaf's final demand and, for the feedback
+kept from the iteration before, its demand one iteration earlier
+(kernels.stair_demands). Leaves of equal stage and frozen count are
+filled together, stacked as frames.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 import numpy as np
 
-from . import kernels
 from .codes import PolarCode
 from .scan import ScanConfig, ScanDecoder, ScanOutput, _compile, _decode
 from .sc import sc_decode
-from .schedule import (DEFAULT_TYPES, KERNEL_TYPES, DecodingSchedule, NodeType, _checked_types,
-                       build_schedule, classify)
-
-# NodeType -> kernel(demand, arithmetic). Kernels are looked up in their
-# module at call time, so a wrapper installed on polarscan.kernels sees them.
-_KERNELS = {
-    NodeType.RATE0: lambda lam, arithmetic: kernels.rate0_update(lam.shape),
-    NodeType.RATE1: lambda lam, arithmetic: kernels.rate1_update(lam.shape),
-    NodeType.REP: lambda lam, arithmetic: kernels.rep_update(lam),
-    NodeType.SPC: lambda lam, arithmetic: kernels.spc_update(lam, arithmetic),
-    NodeType.TYPE_I: lambda lam, arithmetic: kernels.type1_update(lam),
-    NodeType.TYPE_III: lambda lam, arithmetic: kernels.type3_update(lam, arithmetic),
-    NodeType.TYPE_II: lambda lam, arithmetic: kernels.type2_update(lam, arithmetic),
-    NodeType.TYPE_IV: lambda lam, arithmetic: kernels.type4_update(lam, arithmetic),
-}
-
-
-@lru_cache(maxsize=None)
-def _stair_kernel(size: int, j: int):
-    """Kernel of the F^j I^(size-j) node inside a kernel leaf: the one of the
-    special kind classify gives its pattern, every kind being enabled."""
-    return _KERNELS[classify(np.arange(size) < j, KERNEL_TYPES)]
+from .schedule import DEFAULT_TYPES, DecodingSchedule, _checked_types, build_schedule
 
 
 class FastScanDecoder:
@@ -74,15 +52,15 @@ class FastScanDecoder:
             raise ValueError(f"schedule was built for another frozen mask than the ({code.N},{code.K}) code's")
         self.leaf_extrinsic = leaf_extrinsic
         # stage-0 leaves emit no op: their feedback is the constant beta[0]
-        leaves = [d for d in self.schedule.leaves() if d.stage > 0]
-        self._ops = _compile(code.n, {(d.stage, d.index): _KERNELS[d.kind] for d in leaves})
+        spans = {(d.stage, d.index): range(d.offset, d.offset + d.size)
+                 for d in self.schedule.leaves() if d.stage > 0}
+        frozen = {node: int(code.frozen_mask[span].sum()) for node, span in spans.items()}
+        self._ops = _compile(code.n, frozen)
         # leaves of one stage and frozen count fill their lam[0] together, as frames
         groups = {}
-        for d in leaves:
-            span = range(d.offset, d.offset + d.size)
-            groups.setdefault((d.stage, int(code.frozen_mask[span].sum())), []).append(span)
-        self._fills = tuple((t, np.array(spans), partial(kernels.stair_demands, j=j, child=_stair_kernel))
-                            for (t, j), spans in groups.items())
+        for (t, i), span in spans.items():
+            groups.setdefault((t, frozen[t, i]), []).append(span)
+        self._fills = tuple((t, np.array(group), j) for (t, j), group in groups.items())
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, self.leaf_extrinsic)

@@ -2,35 +2,40 @@
 
 Each kernel maps a node's demand vector lam (shape (..., s)) straight to
 its feedback beta, skipping the subtree traversal. Every special node has
-the frozen pattern F^j I^(s-j), and one rule per level covers them all. At
-a level of half-size h, with lo, hi the two halves of lam:
+the frozen pattern F^j I^(s-j), and stair(lam, j, arithmetic) is the one
+entry for all of them: Rate0 (j == s) and Rate1 (j == 0) are constants,
+any other j runs <kind>_update for the kind schedule.classify gives the
+pattern, looked up in this module at call time. One rule per level runs
+every kernel (_level). At half-size h, with lo, hi the halves of lam:
 
 * j == h: the left half is Rate0 and the right half Rate1, so the halves
   swap: beta = [hi, lo].
 * j > h: the left half is Rate0 and feeds back certainty (+inf), so
   box-plus with it passes values through and the level folds with adds:
-  inner = kernel(lo + hi), beta = [hi + inner, lo + inner].
+  inner = stair(lo + hi, j - h), beta = [hi + inner, lo + inner].
 * j < h: the right half is Rate1 and feeds back 0, so the level folds the
-  same way with box-plus.
+  same way with box-plus: inner = stair(f(lo, hi), j).
 
-The folded half is again an F^j' I^(h-j') node, so one helper (_level)
-runs every kernel, level by level: Rep, TypeI and TypeII keep their
-information count as they fold, SPC, TypeIII and TypeIV their frozen
-count. Each level computes the adds and box-plus of the subtree recursion
-on the same operands, so in min-sum and exact arithmetic alike a kernel
+The folded half is again a special node, so each level runs the kernel of
+its own kind (a size-8 TypeIV folds onto a Rep), on the operands of the
+subtree recursion. In min-sum and exact arithmetic alike a kernel thus
 equals one SCAN iteration over its pattern in value; only the sign of a
 zero can differ. Min-sum SPC takes the two-smallest-magnitudes form
 instead of its fold: min-sum copies magnitudes, so any order gives the
 same values, and the direct form is faster.
 
-Every kernel accepts a batch axis and is stateless. stair_demands runs the
-same level split top-down to give SCAN's stage-0 demands inside such a
-node, which fast-SCAN's leaf extrinsics read.
+Every kernel takes (lam, arithmetic), accepts a batch axis and is
+stateless; Rep and TypeI only add. stair_demands runs the same level
+split top-down to give SCAN's stage-0 demands inside such a node, which
+fast-SCAN's leaf extrinsics read.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from .arithmetic import combiner, hard_sign, sat_add
+from .schedule import KERNEL_TYPES, NodeType, classify
 
 
 def _checked(lam, kind, minimum):
@@ -42,9 +47,27 @@ def _checked(lam, kind, minimum):
     return lam
 
 
-def _level(lam, j, inner, arithmetic=None):
+@lru_cache(maxsize=None)
+def _kernel_name(s: int, j: int) -> str:
+    """Name of the F^j I^(s-j) node's kernel in this module."""
+    kind = classify(np.arange(s) < j, KERNEL_TYPES) if 0 <= j <= s else NodeType.INTERNAL
+    if kind is NodeType.INTERNAL:
+        raise ValueError(f"F^{j} I^{s - j} is not a special node")
+    return f"{kind.value}_update"
+
+
+def stair(lam, j, arithmetic="minsum") -> np.ndarray:
+    """Feedback of the F^j I^(s-j) node with demand lam, an array (..., s)."""
+    s = lam.shape[-1]
+    kernel = globals()[_kernel_name(s, j)]
+    if j == s or j == 0:   # Rate0, Rate1: constants
+        return kernel(lam.shape)
+    return kernel(lam, arithmetic)
+
+
+def _level(lam, j, arithmetic):
     """One level of an F^j I^(s-j) node: swap the halves (j == h), or fold
-    them with sat_add (j > h) or box-plus (j < h), run inner on the folded
+    them with sat_add (j > h) or box-plus (j < h), run stair on the folded
     half and unfold with the same operation. arithmetic is read only when
     j < h."""
     h = lam.shape[-1] // 2
@@ -52,31 +75,30 @@ def _level(lam, j, inner, arithmetic=None):
     if j == h:
         return np.concatenate([hi, lo], axis=-1)
     g = sat_add if j > h else combiner(arithmetic)
-    folded = inner(g(lo, hi))
+    folded = stair(g(lo, hi), j - h if j > h else j, arithmetic)
     return np.concatenate([g(hi, folded), g(lo, folded)], axis=-1)
 
 
-def stair_demands(lam, prev, j, arithmetic, child):
+def stair_demands(lam, prev, j, arithmetic):
     """Turn an F^j I^(s-j) node's demand into the stage-0 demands of SCAN's
     unpruned subtree after the final iteration, in place over lam (..., s).
 
     prev is the node's demand one iteration earlier, None in a one-iteration
-    decode; child(h, j) is the kernel of an F^j I^(h-j) node. Level by
-    level, top-down: at half-size h, with halves a, b of each node of size
-    2h, the nodes below (j // 2h) * 2h are Rate0, those from
-    ceil(j / 2h) * 2h on are Rate1, and at most one stair node lies between,
-    split as in _level:
+    decode. Level by level, top-down: at half-size h, with halves a, b of
+    each node of size 2h, the nodes below (j // 2h) * 2h are Rate0, those
+    from ceil(j / 2h) * 2h on are Rate1, and at most one stair node lies
+    between, split as in _level:
 
     * Rate0: left a + 0.0, right (a + 0.0) + b. In a one-iteration decode the
       left demand above stage 1 is f(a, b): the right sibling has not fed
       back yet.
     * Rate1: left f(a, b), right f(a, 0) + b.
     * stair, j >= h: the left child is Rate0. Left f(a, b + br), right
-      (a + 0.0) + b, where br is the right child's kernel on its previous
+      (a + 0.0) + b, where br is the right child's stair on its previous
       demand (prev's a + b), 0 in a one-iteration decode or when the right
       child is Rate1.
     * stair, j < h: the right child is Rate1. Left f(a, b), right
-      f(a, bl) + b, where bl is the left child's kernel on its new demand.
+      f(a, bl) + b, where bl is the left child's stair on its new demand.
 
     a + 0.0 is f(a, +inf) bit for bit (both turn -0.0 into +0.0), and each
     rule runs SCAN's operations on operands equal to SCAN's in value. Those
@@ -112,12 +134,12 @@ def stair_demands(lam, prev, j, arithmetic, child):
                 pa, pb = prev[..., :h], prev[..., h:]
                 prev = pa + pb if j - lo >= h else f(pa, pb)   # the next stair node's
             if j - lo >= h:
-                br = child(h, j - lo - h)(prev, arithmetic) if j - lo > h and not one_iteration else None
+                br = stair(prev, j - lo - h, arithmetic) if j - lo > h and not one_iteration else None
                 left = f(a, b) if br is None else f(a, b + br)
                 b += a + 0.0
             else:
                 left = f(a, b)
-                b += f(a, child(h, j - lo)(left, arithmetic))
+                b += f(a, stair(left, j - lo, arithmetic))
             a[...] = left
         h //= 2
 
@@ -162,7 +184,7 @@ def spc_update(lam, arithmetic="minsum") -> np.ndarray:
     lam = _checked(lam, "spc", 2)
     if arithmetic == "minsum":
         return _spc_minsum(lam)
-    return _level(lam, 1, lambda x: spc_update(x, arithmetic), arithmetic)
+    return _level(lam, 1, arithmetic)
 
 
 def spc_update_forced(lam, arithmetic="minsum") -> np.ndarray:
@@ -180,35 +202,31 @@ def spc_update_forced(lam, arithmetic="minsum") -> np.ndarray:
     return beta
 
 
-def rep_update(lam) -> np.ndarray:
+def rep_update(lam, arithmetic="minsum") -> np.ndarray:
     """Repetition node F^(s-1) I: beta[k] = sum of all entries except k."""
     lam = _checked(lam, "rep", 2)
-    return _level(lam, lam.shape[-1] - 1, rep_update)
+    return _level(lam, lam.shape[-1] - 1, arithmetic)
 
 
-def type1_update(lam) -> np.ndarray:
+def type1_update(lam, arithmetic="minsum") -> np.ndarray:
     """TypeI node F^(s-2) I^2: two trailing info bits."""
     lam = _checked(lam, "type1", 4)
-    return _level(lam, lam.shape[-1] - 2, type1_update)
+    return _level(lam, lam.shape[-1] - 2, arithmetic)
 
 
 def type3_update(lam, arithmetic="minsum") -> np.ndarray:
     """TypeIII node F^2 I^(s-2): two leading frozen bits."""
     lam = _checked(lam, "type3", 4)
-    return _level(lam, 2, lambda x: type3_update(x, arithmetic), arithmetic)
+    return _level(lam, 2, arithmetic)
 
 
 def type2_update(lam, arithmetic="minsum") -> np.ndarray:
-    """TypeII node F^(s-3) I^3: three trailing info bits; size 4 is an SPC."""
+    """TypeII node F^(s-3) I^3: three trailing info bits."""
     lam = _checked(lam, "type2", 4)
-    if lam.shape[-1] == 4:
-        return spc_update(lam, arithmetic)
-    return _level(lam, lam.shape[-1] - 3, lambda x: type2_update(x, arithmetic))
+    return _level(lam, lam.shape[-1] - 3, arithmetic)
 
 
 def type4_update(lam, arithmetic="minsum") -> np.ndarray:
-    """TypeIV node F^3 I^(s-3): three leading frozen bits; size 8 folds
-    onto a size-4 Rep."""
+    """TypeIV node F^3 I^(s-3): three leading frozen bits."""
     lam = _checked(lam, "type4", 8)
-    inner = rep_update if lam.shape[-1] == 8 else lambda x: type4_update(x, arithmetic)
-    return _level(lam, 3, inner, arithmetic)
+    return _level(lam, 3, arithmetic)

@@ -33,13 +33,14 @@ axis is broadcast through every update.
 
 A tree compiles once into a flat tuple of ops in depth-first order, each
 with precomputed index tuples into lam and beta: left demand, right demand
-and feedback per internal node, one kernel op per pruned leaf. _run_ops
-executes one iteration in a plain loop; the f(a, bl) of each node whose
-right subtree is running waits on a stack, as the ops nest. SCAN is this
-executor over the unpruned tree, whose stage-0 leaves emit no op as beta[0]
-never changes; fast-SCAN (fastscan.py) runs it over a pruned schedule.
-Both decoders share one decode body, _decode, which runs the executor once
-per iteration. A pruned schedule leaves lam[0] inside its kernel leaves
+and feedback per internal node, and per pruned F^j I^(s-j) leaf one op
+that carries j and runs kernels.stair. _run_ops executes one iteration in
+a plain loop; the f(a, bl) of each node whose right subtree is running
+waits on a stack, as the ops nest. SCAN is this executor over the
+unpruned tree, whose stage-0 leaves emit no op as beta[0] never changes;
+fast-SCAN (fastscan.py) runs it over a pruned schedule. Both decoders
+share one decode body, _decode, which runs the executor once per
+iteration. A pruned schedule leaves lam[0] inside its kernel leaves
 unwritten; with leaf extrinsics on, _decode fills it after the last
 iteration from each leaf's final demand and the one before it.
 """
@@ -53,6 +54,7 @@ import numpy as np
 from .arithmetic import clamp, combiner, sat_add
 from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
+from .kernels import stair, stair_demands
 
 
 def _check_count(name: str, value) -> None:
@@ -109,10 +111,11 @@ _LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
 def _compile(n: int, leaves: dict) -> tuple:
     """Flatten the depth-first visit of a stage-n tree into executor ops.
 
-    leaves maps (stage, index) of pruned leaves of stage >= 1 to kernels;
-    other nodes of stage >= 1 are internal and emit (op, a, b, l, r) for
-    _LEFT, _RIGHT and _FEEDBACK, where a, b index the node's halves and l, r
-    its children. A leaf emits (_LEAF, node, kernel, None, None).
+    leaves maps (stage, index) of pruned leaves of stage >= 1 to the number
+    j of leading frozen positions of their F^j I^(s-j) pattern; other nodes
+    of stage >= 1 are internal and emit (op, a, b, l, r) for _LEFT, _RIGHT
+    and _FEEDBACK, where a, b index the node's halves and l, r its children.
+    A leaf emits (_LEAF, node, j, None, None).
     """
     ops, whole = [], slice(None)
 
@@ -154,8 +157,8 @@ def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig) -> None:
         elif op == _FEEDBACK:
             beta[a] = f(beta[l], sat_add(lam[b], beta[r]))
             beta[b] = sat_add(beta[r], pending.pop())
-        else:   # kernel leaf: a is the node, b its kernel
-            beta[a] = b(lam[a], arithmetic)
+        else:   # kernel leaf: a is the node, b its j
+            beta[a] = stair(lam[a], b, arithmetic)
 
 
 def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
@@ -182,10 +185,10 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
     cfg.iterations runs of dec._ops, then finalize; nothing is kept on dec.
 
-    With leaf_extrinsic set, each (stage, positions, fill) of dec._fills
-    fills lam[0] inside one group of kernel leaves after the last iteration,
-    from the leaves' final demands and, when there was an iteration before,
-    their demands from it, copied out before the last one."""
+    With leaf_extrinsic set, each (stage, positions, j) of dec._fills fills
+    lam[0] inside one group of F^j I^(2^stage-j) leaves after the last
+    iteration, from the leaves' final demands and, when there was an
+    iteration before, their demands from it, copied out before the last one."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
@@ -195,9 +198,9 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
         if k and k == cfg.iterations - 1:
             prev = [mem.lam[t].T[span].swapaxes(-1, -2) for t, span, _ in fills]
         _run_ops(dec._ops, mem, cfg)
-    for (t, span, fill), p in zip(fills, prev):
+    for (t, span, j), p in zip(fills, prev):
         lam = mem.lam[t].T[span]   # (leaves, 2^t, frames), frames last like mem
-        fill(lam.swapaxes(-1, -2), p, arithmetic=cfg.arithmetic)
+        stair_demands(lam.swapaxes(-1, -2), p, j, cfg.arithmetic)
         mem.lam[0].T[span] = lam
     return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 

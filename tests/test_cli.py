@@ -3,6 +3,8 @@
 import json
 import warnings
 
+import pytest
+
 from polarscan.cli import main
 
 
@@ -92,6 +94,14 @@ def test_latency_without_a_code_returns_error(capsys):
     rc, out, err = run_cli(capsys, "latency", "--n", "128")
     assert rc == 1 and out == ""
     assert "error: latency needs --codes or both --n and --k" in err
+
+
+@pytest.mark.parametrize("codes, token", [("128", "'128'"), ("128:64,", "''"),
+                                          ("128:64:2", "'128:64:2'")])
+def test_latency_names_a_malformed_code_entry(capsys, codes, token):
+    rc, out, err = run_cli(capsys, "latency", "--codes", codes)
+    assert rc == 1 and out == ""
+    assert err == f"error: --codes entry {token} is not of the form N:K, e.g. 128:64\n"
 
 
 def test_census(capsys):

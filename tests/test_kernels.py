@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polarscan import kernels
 from polarscan.arithmetic import DEFAULT_SAT as SAT
 from polarscan.kernels import (
     rate0_update,
@@ -10,11 +11,13 @@ from polarscan.kernels import (
     rep_update,
     spc_update,
     spc_update_forced,
+    stair,
     type1_update,
     type2_update,
     type3_update,
     type4_update,
 )
+from polarscan.schedule import KERNEL_TYPES, NodeType, classify
 
 from reference_scan import ref_rep, ref_spc_exact, ref_subtree_feedback
 
@@ -143,13 +146,13 @@ def test_type2_size4_equals_spc(rng):
 
 
 def kernel_calls(size):
-    yield rep_mask(size), lambda lam, arith: rep_update(lam)
-    yield spc_mask(size), lambda lam, arith: spc_update(lam, arith)
-    yield type1_mask(size), lambda lam, arith: type1_update(lam)
-    yield type3_mask(size), lambda lam, arith: type3_update(lam, arith)
-    yield type2_mask(size), lambda lam, arith: type2_update(lam, arith)
+    yield rep_mask(size), rep_update
+    yield spc_mask(size), spc_update
+    yield type1_mask(size), type1_update
+    yield type3_mask(size), type3_update
+    yield type2_mask(size), type2_update
     if size >= 8:
-        yield type4_mask(size), lambda lam, arith: type4_update(lam, arith)
+        yield type4_mask(size), type4_update
 
 
 def test_kernels_match_subtree_minsum(rng):
@@ -206,3 +209,54 @@ def test_size_validation():
         type2_update(np.zeros(6))
     with pytest.raises(ValueError, match=r"spc size 0 "):
         spc_update(np.float64(1.0))
+
+
+def spy_on_kernels(monkeypatch):
+    """Wrap every kernel of polarscan.kernels, as a tracer would; returns the
+    list that each call appends its kernel's name to."""
+    calls = []
+    for kind in KERNEL_TYPES:
+        name = f"{kind.value}_update"
+
+        def spy(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def test_a_wrapped_rep_sees_every_level(monkeypatch):
+    calls = spy_on_kernels(monkeypatch)
+    kernels.rep_update(np.arange(8.0))
+    assert calls == ["rep_update"] * 3
+
+
+def test_stair_first_reaches_the_kernel_classify_names(monkeypatch, rng):
+    calls = spy_on_kernels(monkeypatch)
+    specials = 0
+    for s in (2, 4, 8, 16, 32, 64):
+        for j in range(s + 1):
+            kind = classify(np.arange(s) < j, KERNEL_TYPES)
+            if kind is NodeType.INTERNAL:
+                with pytest.raises(ValueError, match=rf"F\^{j} I\^{s - j} is not a special node"):
+                    stair(rng.normal(size=s), j)
+                continue
+            calls.clear()
+            beta = stair(rng.normal(size=(3, s)), j, "exact")
+            assert calls[0] == f"{kind.value}_update" and beta.shape == (3, s)
+            specials += 1
+    assert specials == 3 + 5 + 8 * 4   # Rate0, Rate1 and j in {1, 2, 3, s-3, s-2, s-1}
+    for j in (-1, 5):
+        with pytest.raises(ValueError, match="not a special node"):
+            stair(np.zeros(4), j)
+
+
+def test_rep_and_type1_never_read_the_arithmetic(rng):
+    for size in (2, 4, 8, 16, 32, 64):
+        lam = rng.normal(size=(5, size)) * 4
+        lam[0, 0] = 0.0
+        lam[1, :2] = -0.0
+        kernels_of_size = (rep_update, type1_update) if size >= 4 else (rep_update,)
+        for kernel in kernels_of_size:
+            assert kernel(lam, "minsum").tobytes() == kernel(lam, "exact").tobytes()

@@ -21,9 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import code_from_mask
-from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, scan
+from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, kernels, scan
 from polarscan.arithmetic import DEFAULT_SAT
-from polarscan.fastscan import _KERNELS
 from polarscan.schedule import CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES, NodeType, build_schedule, classify
 from reference_scan import ref_scan
 
@@ -116,8 +115,9 @@ def test_fast_scan_equals_scan_in_minsum_mode(case, types):
 @given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]),
        st.sampled_from(["minsum", "exact"]))
 def test_demands_stay_finite_and_certainty_is_plus_inf(case, types, arithmetic):
-    # after every iteration of every decode, the leaf replay's included:
-    # lam is finite, beta is finite or +inf (no NaN, no -inf)
+    # after every executor iteration of every decode, lam is finite and beta
+    # finite or +inf (no NaN, no -inf); the leaf fill runs after the last
+    # iteration, so the leaf extrinsic output is checked on its own
     mask, llrs, iterations = case
     code = code_from_mask(mask)
     cfg = ScanConfig(iterations=iterations, arithmetic=arithmetic)
@@ -164,7 +164,7 @@ def pattern(kind, size):
 def test_kernel_matches_one_scan_iteration_over_its_pattern(kind, arithmetic, data):
     size = 1 << data.draw(st.integers(3 if kind is NodeType.TYPE_IV else 2, 5))   # 4..32
     lam = data.draw(llr_batches(size, LLR_VALUES))
-    got = _KERNELS[kind](lam, arithmetic)
+    got = kernels.stair(lam, FROZEN_PREFIX[kind](size), arithmetic)
     code = code_from_mask(pattern(kind, size))
     want = ScanDecoder(code, ScanConfig(iterations=1, arithmetic=arithmetic)).decode(lam).root_extrinsic
     np.testing.assert_array_equal(got, want)
