@@ -24,12 +24,15 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
 
 
 def channel_llrs(received, sigma: float) -> np.ndarray:
-    """LLR of received BPSK samples: 2y / sigma^2, clamped to [-SAT, SAT]."""
+    """LLR of received BPSK samples, 2y / sigma^2 clamped to [-SAT, SAT], for a finite sigma > 0."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"noise sigma must be finite and > 0, got {sigma!r}")
     return clamp(2.0 * np.asarray(received, dtype=float) / (sigma * sigma))
 
 
 def checked_llrs(channel_llrs, N: int) -> np.ndarray:
-    """Channel LLRs, (N,) or (batch, N), as a (batch, N) float array; raises
+    """Channel LLRs, (N,) or (batch, N), as a (batch, N) float array clamped
+    to [-SAT, SAT]; every decoder takes its LLRs through here. Raises
     ValueError naming the shape, the length or the first NaN."""
     llrs = np.atleast_2d(np.asarray(channel_llrs, dtype=float))
     if llrs.ndim > 2:
@@ -39,4 +42,4 @@ def checked_llrs(channel_llrs, N: int) -> np.ndarray:
     nan = np.argwhere(np.isnan(llrs))
     if nan.size:
         raise ValueError(f"channel LLR is NaN at (frame, position) {tuple(nan[0].tolist())}")
-    return llrs
+    return clamp(llrs)

@@ -1,12 +1,13 @@
 """Fast-SCAN: the SCAN executor (scan.py) over a pruned schedule.
 
 build_schedule turns each maximal subtree whose frozen pattern matches an
-enabled special node into a leaf. Every such leaf is an F^j I^(s-j) node
-and compiles to one op carrying j, which maps the node's current demand
-vector through kernels.stair straight to its feedback. Output contract
-and iteration semantics match scan_decode; both decoders run the one
-decode body scan._decode, and in min-sum and exact arithmetic alike their
-outputs are bit-identical.
+enabled special node into a leaf. Every such leaf is an F^j I^(s-j) node;
+FastScanDecoder hands the leaves, each with its j, to scan._compile, whose
+program has one op per leaf that carries j and maps the node's current
+demand vector through kernels.stair straight to its feedback. Output
+contract and iteration semantics match scan_decode; both decoders run the
+one decode body scan._decode, and in min-sum and exact arithmetic alike
+their outputs are bit-identical.
 
 A pruned subtree never computes its interior messages, so the leaf-level
 extrinsic lam[0] is filled in after the last iteration, in closed form.
@@ -16,7 +17,8 @@ is a constant once visited. So SCAN's stage-0 demands inside the leaf
 follow level by level from the leaf's final demand and, for the feedback
 kept from the iteration before, its demand one iteration earlier
 (kernels.stair_demands). Leaves of equal stage and frozen count are
-filled together, stacked as frames.
+filled together, stacked as frames, in the fill groups of the program
+scan._compile emits.
 """
 
 from dataclasses import dataclass
@@ -51,16 +53,9 @@ class FastScanDecoder:
         if self.schedule.code != code:
             raise ValueError(f"schedule was built for another frozen mask than the ({code.N},{code.K}) code's")
         self.leaf_extrinsic = leaf_extrinsic
-        # stage-0 leaves emit no op: their feedback is the constant beta[0]
-        spans = {(d.stage, d.index): range(d.offset, d.offset + d.size)
-                 for d in self.schedule.leaves() if d.stage > 0}
-        frozen = {node: int(code.frozen_mask[span].sum()) for node, span in spans.items()}
-        self._ops = _compile(code.n, frozen)
-        # leaves of one stage and frozen count fill their lam[0] together, as frames
-        groups = {}
-        for (t, i), span in spans.items():
-            groups.setdefault((t, frozen[t, i]), []).append(span)
-        self._fills = tuple((t, np.array(group), j) for (t, j), group in groups.items())
+        mask = code.frozen_mask
+        self._ops, self._fills = _compile(code.n, tuple(
+            (d.stage, d.index, int(mask[d.offset:d.offset + d.size].sum())) for d in self.schedule.leaves()))
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, self.leaf_extrinsic)

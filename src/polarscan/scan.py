@@ -31,18 +31,18 @@ subtree writes neither a nor bl, so the feedback reuses the f(a, bl) of the
 right demand instead of computing it again. The decoder is batched: a frame
 axis is broadcast through every update.
 
-A tree compiles once into a flat tuple of ops in depth-first order, each
-with precomputed index tuples into lam and beta: left demand, right demand
-and feedback per internal node, and per pruned F^j I^(s-j) leaf one op
-that carries j and runs kernels.stair. _run_ops executes one iteration in
-a plain loop; the f(a, bl) of each node whose right subtree is running
-waits on a stack, as the ops nest. SCAN is this executor over the
-unpruned tree, whose stage-0 leaves emit no op as beta[0] never changes;
-fast-SCAN (fastscan.py) runs it over a pruned schedule. Both decoders
-share one decode body, _decode, which runs the executor once per
-iteration. A pruned schedule leaves lam[0] inside its kernel leaves
-unwritten; with leaf extrinsics on, _decode fills it after the last
-iteration from each leaf's final demand and the one before it.
+A decoding tree compiles once (_compile, cached) into a program: a flat
+tuple of ops in depth-first order, each with precomputed index tuples into
+lam and beta (left demand, right demand and feedback per internal node, and
+per pruned F^j I^(s-j) leaf one op that carries j and runs kernels.stair),
+and the leaf-fill groups. _run_ops executes one iteration in a plain loop;
+the f(a, bl) of each node whose right subtree is running waits on a stack,
+as the ops nest. SCAN is this executor over the unpruned tree, fast-SCAN
+(fastscan.py) over a pruned schedule. Both decoders share one decode body,
+_decode, which runs the executor once per iteration. A pruned schedule
+leaves lam[0] inside its kernel leaves unwritten; with leaf extrinsics on,
+_decode fills it after the last iteration, group by group, from each leaf's
+final demand and the one before it.
 """
 
 import numbers
@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import clamp, combiner, sat_add
+from .arithmetic import combiner, sat_add
 from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
 from .kernels import stair, stair_demands
@@ -100,46 +100,51 @@ def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
     llrs = checked_llrs(channel_llrs, code.N)
     shape = (code.n + 1, code.N, llrs.shape[0])
     mem = MessageMemory(lam=np.zeros(shape).transpose(0, 2, 1), beta=np.zeros(shape).transpose(0, 2, 1))
-    mem.lam[code.n] = clamp(llrs)
+    mem.lam[code.n] = llrs
     mem.beta[0][:, code.frozen_mask] = np.inf
     return mem
 
 
 _LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
+_PROGRAMS = 32   # programs kept; the full n = 10 tree's takes about 0.7 MB
 
 
-def _compile(n: int, leaves: dict) -> tuple:
-    """Flatten the depth-first visit of a stage-n tree into executor ops.
+@lru_cache(maxsize=_PROGRAMS)
+def _compile(n: int, leaves: tuple = ()) -> tuple:
+    """The program (ops, fills) of a stage-n decoding tree, from one walk.
 
-    leaves maps (stage, index) of pruned leaves of stage >= 1 to the number
-    j of leading frozen positions of their F^j I^(s-j) pattern; other nodes
-    of stage >= 1 are internal and emit (op, a, b, l, r) for _LEFT, _RIGHT
-    and _FEEDBACK, where a, b index the node's halves and l, r its children.
-    A leaf emits (_LEAF, node, j, None, None).
+    leaves holds (stage, index, j) per pruned leaf, j the number of leading
+    frozen positions of its F^j I^(s-j) pattern; () is the unpruned tree.
+    Stage-0 nodes emit no op, as beta[0] never changes. Other leaves emit
+    (_LEAF, node, j, None, None), other nodes (op, a, b, l, r) for _LEFT,
+    _RIGHT and _FEEDBACK, a, b indexing the halves and l, r the children.
+    fills holds, per (stage, j) in order of first visit, (stage, positions,
+    j): positions is a read-only (leaves, 2^stage) array in visit order.
     """
-    ops, whole = [], slice(None)
+    pruned = {(t, i): j for t, i, j in leaves}
+    ops, groups, whole = [], {}, slice(None)
 
     def visit(t, i):
+        if t == 0:
+            return
         lo, size = i << t, 1 << t
-        if (t, i) in leaves:
-            ops.append((_LEAF, (t, whole, slice(lo, lo + size)), leaves[(t, i)], None, None))
-        elif t > 0:
-            left, right = slice(lo, lo + size // 2), slice(lo + size // 2, lo + size)
-            idx = ((t, whole, left), (t, whole, right), (t - 1, whole, left), (t - 1, whole, right))
-            ops.append((_LEFT,) + idx)
-            visit(t - 1, 2 * i)
-            ops.append((_RIGHT,) + idx)
-            visit(t - 1, 2 * i + 1)
-            ops.append((_FEEDBACK,) + idx)
+        if (t, i) in pruned:
+            ops.append((_LEAF, (t, whole, slice(lo, lo + size)), pruned[t, i], None, None))
+            groups.setdefault((t, pruned[t, i]), []).append(range(lo, lo + size))
+            return
+        left, right = slice(lo, lo + size // 2), slice(lo + size // 2, lo + size)
+        idx = ((t, whole, left), (t, whole, right), (t - 1, whole, left), (t - 1, whole, right))
+        ops.append((_LEFT,) + idx)
+        visit(t - 1, 2 * i)
+        ops.append((_RIGHT,) + idx)
+        visit(t - 1, 2 * i + 1)
+        ops.append((_FEEDBACK,) + idx)
 
     visit(n, 0)
-    return tuple(ops)
-
-
-@lru_cache(maxsize=None)
-def _unpruned_ops(n: int) -> tuple:
-    """Ops of the full stage-n tree; they depend on n alone, as stage 0 emits none."""
-    return _compile(n, {})
+    fills = tuple((t, np.array(spans), j) for (t, j), spans in groups.items())
+    for _, positions, _ in fills:
+        positions.flags.writeable = False   # every decoder of the tree shares them
+    return tuple(ops), fills
 
 
 def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig) -> None:
@@ -185,10 +190,11 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
     cfg.iterations runs of dec._ops, then finalize; nothing is kept on dec.
 
-    With leaf_extrinsic set, each (stage, positions, j) of dec._fills fills
-    lam[0] inside one group of F^j I^(2^stage-j) leaves after the last
-    iteration, from the leaves' final demands and, when there was an
-    iteration before, their demands from it, copied out before the last one."""
+    With leaf_extrinsic set, each (stage, positions, j) of dec._fills, the
+    fill groups of _compile, fills lam[0] inside one group of F^j I^(2^stage-j)
+    leaves after the last iteration, from the leaves' final demands and, when
+    there was an iteration before, their demands from it, copied out before
+    the last one."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
@@ -211,8 +217,7 @@ class ScanDecoder:
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        self._ops = _unpruned_ops(code.n)
-        self._fills = ()   # no kernel leaves: the executor writes every lam[0]
+        self._ops, self._fills = _compile(code.n)   # no fills: the executor writes every lam[0]
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, True)

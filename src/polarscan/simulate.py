@@ -67,34 +67,30 @@ class SimResult:
         return buf.getvalue()
 
 
-def _polar_runner(code: PolarCode, spec: DecoderSpec):
-    decoder = spec.build(code)
-
+def _runner(rate: float, info_shape: tuple, encode_info, decode_info):
+    """Chunk runner: seeded info bits, encode_info, BPSK over AWGN, then
+    decode_info from channel LLRs back to info bits, scored per frame."""
     def run(point_idx, chunk_idx, ebn0_db, seed, frames):
         rng = np.random.default_rng([seed, point_idx, chunk_idx])
-        info = rng.integers(0, 2, size=(frames, code.K), dtype=np.uint8)
-        x = encode(code, insert_info(code, info))
-        sigma = noise_sigma(ebn0_db, code.rate)
-        y = modulate(x) + sigma * rng.standard_normal((frames, code.N))
-        u_hat = decoder(channel_llrs(y, sigma)).u_hat
-        bit_err = extract_info(code, u_hat) != info
-        return frames, int(np.any(bit_err, axis=1).sum()), int(bit_err.sum())
+        info = rng.integers(0, 2, size=(frames,) + info_shape, dtype=np.uint8)
+        x = encode_info(info)
+        sigma = noise_sigma(ebn0_db, rate)
+        y = modulate(x) + sigma * rng.standard_normal(x.shape)
+        bit_err = decode_info(channel_llrs(y, sigma)) != info
+        return frames, int(np.any(bit_err.reshape(frames, -1), axis=1).sum()), int(bit_err.sum())
 
     return run
+
+
+def _polar_runner(code: PolarCode, spec: DecoderSpec):
+    decoder = spec.build(code)
+    return _runner(code.rate, (code.K,), lambda info: encode(code, insert_info(code, info)),
+                   lambda llrs: extract_info(code, decoder(llrs).u_hat))
 
 
 def _ppc_runner(ppc: ProductPolarCode, cfg: PpcConfig, decoder: str):
-    def run(point_idx, chunk_idx, ebn0_db, seed, frames):
-        rng = np.random.default_rng([seed, point_idx, chunk_idx])
-        info = rng.integers(0, 2, size=(frames,) + ppc.info_shape, dtype=np.uint8)
-        x = ppc_encode(ppc, info)
-        sigma = noise_sigma(ebn0_db, ppc.rate)
-        y = modulate(x) + sigma * rng.standard_normal(x.shape)
-        out = ppc_decode(ppc, channel_llrs(y, sigma), cfg, decoder=decoder)
-        bit_err = out.info_hat != info
-        return frames, int(np.any(bit_err, axis=(1, 2)).sum()), int(bit_err.sum())
-
-    return run
+    return _runner(ppc.rate, ppc.info_shape, lambda info: ppc_encode(ppc, info),
+                   lambda llrs: ppc_decode(ppc, llrs, cfg, decoder=decoder).info_hat)
 
 
 # per-process runner installed by the pool initializer

@@ -53,6 +53,14 @@ def test_llr_clamping():
     np.testing.assert_array_equal(llrs, [SAT, -SAT])
 
 
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, np.nan, np.inf])
+def test_llrs_reject_sigma_not_finite_and_positive(sigma):
+    # -1 returned LLRs silently, 0 warned of a division by zero, and NaN gave
+    # NaN LLRs that decoders reported as a NaN channel value
+    with pytest.raises(ValueError, match=re.escape(f"sigma must be finite and > 0, got {sigma!r}")):
+        channel_llrs(np.array([0.5, -1.5]), sigma)
+
+
 def test_seeded_noise_reproducible():
     sigma = noise_sigma(1.0, 0.5)
     a = np.random.default_rng(7).normal(scale=sigma, size=100)

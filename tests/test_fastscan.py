@@ -167,6 +167,28 @@ def test_executor_runs_once_per_iteration(monkeypatch, rng, N, K):
             assert all(ops is dec._ops for ops in seen)
 
 
+@pytest.mark.parametrize("types", [DEFAULT_TYPES, KERNEL_TYPES], ids=["default", "all"])
+@pytest.mark.parametrize("N, K", [(128, 64), (1024, 512)])
+def test_program_fills_are_the_kernel_leaves_and_shared(N, K, types):
+    # scan._compile groups the stage >= 1 leaves by (stage, frozen count) in
+    # visit order, and decoders of equal trees share one cached program
+    code = build_code(N, K)
+    dec = FastScanDecoder(code, schedule=build_schedule(code, types))
+    want = {}
+    for d in dec.schedule.leaves():
+        if d.stage > 0:
+            span = list(range(d.offset, d.offset + d.size))
+            want.setdefault((d.stage, int(code.frozen_mask[span].sum())), []).append(span)
+    assert [(t, j) for t, _, j in dec._fills] == list(want)
+    for t, positions, j in dec._fills:
+        np.testing.assert_array_equal(positions, want[t, j])
+        assert not positions.flags.writeable
+    twin = FastScanDecoder(code, schedule=build_schedule(code, types))
+    assert twin._ops is dec._ops and twin._fills is dec._fills
+    full = ScanDecoder(code)
+    assert full._fills == () and ScanDecoder(code)._ops is full._ops
+
+
 def _bits(x):
     return np.asarray(x).view(np.int64)
 

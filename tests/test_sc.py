@@ -27,6 +27,19 @@ def test_size2_hand_evaluation():
     np.testing.assert_array_equal(out.u_hat, [0, 0])
 
 
+def test_channel_llrs_are_clamped(rng):
+    # unclamped, [inf, -inf] on the (2,1) code computed inf - inf in the right
+    # demand; clamped, it is -SAT + SAT = 0, and a tie decides 0
+    out = sc_decode(code_from_mask([True, False]), np.array([np.inf, -np.inf]))
+    np.testing.assert_array_equal(out.x_hat, [0, 0])
+    values = np.array([np.inf, -np.inf, 1e7, -1e7, 0.5, -0.5, 2.0, -3.0])
+    for _ in range(50):
+        code = build_code(16, int(rng.integers(1, 16)))
+        llrs = rng.choice(values, size=(4, 16))
+        clamped = np.clip(llrs, -SAT, SAT)
+        np.testing.assert_array_equal(sc_decode(code, llrs).x_hat, sc_decode(code, clamped).x_hat)
+
+
 def test_noiseless_all_zero_codeword():
     code = build_code(8, 4)
     out = sc_decode(code, np.full(8, 2.0))
