@@ -28,7 +28,7 @@ from .schedule import (
     node_census,
     parse_node_types,
 )
-from .sequences import ReliabilitySequence, default_sequence, load_reliability_sequence, subcode_order
+from .sequences import default_sequence, load_reliability_sequence, subcode_order
 from .simulate import (
     ChannelConfig,
     SimPoint,
@@ -52,7 +52,7 @@ __all__ = [
     "sc_decode", "sc_latency",
     "DEFAULT_TYPES", "KERNEL_TYPES", "DecodingSchedule", "NodeDescriptor", "NodeType",
     "build_schedule", "census_csv", "classify", "node_census", "parse_node_types",
-    "ReliabilitySequence", "default_sequence", "load_reliability_sequence", "subcode_order",
+    "default_sequence", "load_reliability_sequence", "subcode_order",
     "ChannelConfig", "DecoderSpec", "SimPoint", "SimResult", "parse_ebn0_range",
     "run_ppc_sim", "run_sim",
     "__version__",

@@ -3,16 +3,17 @@
 import numpy as np
 
 from .arithmetic import clamp
+from .codes import _check_bits
 
 
 def modulate(bits) -> np.ndarray:
-    """BPSK mapping: bit 0 -> +1.0, bit 1 -> -1.0."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=float)
+    """BPSK mapping: bit 0 -> +1.0, bit 1 -> -1.0; raises ValueError on any other value."""
+    return 1.0 - 2.0 * _check_bits(bits)
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
     """Per-dimension noise std for unit-energy BPSK at a given Eb/N0."""
-    if rate <= 0:
+    if not rate > 0:   # NaN too
         raise ValueError("rate must be positive")
     try:
         sigma = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))

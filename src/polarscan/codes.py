@@ -8,11 +8,12 @@ over GF(2).
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import ReliabilitySequence, default_sequence, subcode_order
+from .sequences import default_sequence, subcode_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +55,11 @@ class PolarCode:
 
 
 def _check_dims(N: int, K: int) -> int:
-    if N < 2 or (N & (N - 1)) != 0:
+    if not isinstance(N, numbers.Integral) or N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} must be a power of two >= 2")
     if not 0 <= K <= N:
         raise ValueError(f"K={K} out of range for N={N}")
-    return N.bit_length() - 1
+    return int(N).bit_length() - 1
 
 
 def bhattacharyya_order(N: int, design_snr_db: float = 0.0) -> np.ndarray:
@@ -69,7 +70,13 @@ def bhattacharyya_order(N: int, design_snr_db: float = 0.0) -> np.ndarray:
     toward the lower index being less reliable.
     """
     n = _check_dims(N, 0)
-    z = np.full(1, np.exp(-(10.0 ** (design_snr_db / 10.0))), dtype=np.longdouble)
+    try:
+        z0 = np.exp(-(10.0 ** (float(design_snr_db) / 10.0)))
+    except OverflowError:   # 10 ** (snr / 10) beyond float range
+        z0 = 0.0
+    if not 0.0 < z0 < 1.0:   # every index would tie: the identity order
+        raise ValueError(f"design SNR of {design_snr_db!r} dB gives no Bhattacharyya parameter in (0, 1)")
+    z = np.full(1, z0, dtype=np.longdouble)
     for _ in range(n):
         nxt = np.empty(2 * z.size, dtype=np.longdouble)
         nxt[0::2] = 2.0 * z - z * z
@@ -80,9 +87,9 @@ def bhattacharyya_order(N: int, design_snr_db: float = 0.0) -> np.ndarray:
 
 
 def build_code(N: int, K: int, method: str = "5g",
-               seq: ReliabilitySequence | None = None,
-               design_snr_db: float = 0.0) -> PolarCode:
-    """Construct a PolarCode with the N-K least reliable indices frozen."""
+               seq=None, design_snr_db: float = 0.0) -> PolarCode:
+    """Construct a PolarCode with the N-K least reliable indices frozen. For
+    method '5g', seq is any reliability order, default the shipped 5G one."""
     _check_dims(N, K)
     if method == "5g":
         order = subcode_order(seq if seq is not None else default_sequence(), N)

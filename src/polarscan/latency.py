@@ -11,6 +11,8 @@ exactly the flat-SCAN figure 6(N-1).
 
 from dataclasses import dataclass
 
+from .codes import _check_dims
+from .scan import _check_count
 from .schedule import CONSTANT_TYPES, DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
 
 INTERNAL_EDGE = 4
@@ -29,6 +31,7 @@ class LatencyReport:
 
 def scan_latency(N: int) -> int:
     """Flat SCAN schedule over the full tree: 6(N-1) cycles per iteration."""
+    _check_dims(N, 0)
     return 6 * (N - 1)
 
 
@@ -65,6 +68,9 @@ def gain(scan_cycles: int, fast_cycles: int) -> float:
 
 def ppc_latency(row_cycles: int, col_cycles: int, half_iteration_pairs: int) -> int:
     """Product-code latency: each pair costs one row pass plus one column pass."""
+    _check_count("row_cycles", row_cycles, 0)
+    _check_count("col_cycles", col_cycles, 0)
+    _check_count("half_iteration_pairs", half_iteration_pairs, 0)
     return half_iteration_pairs * (row_cycles + col_cycles)
 
 

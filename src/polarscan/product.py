@@ -4,8 +4,11 @@ A codeword is an N_c x N_r bit matrix whose every row belongs to the row
 code and every column to the column code. Decoding alternates row and
 column half-iterations; each half runs the component soft decoder on
 channel LLRs plus the extrinsic from the other dimension and stores
-the decoder's root feedback as the new extrinsic. Decoding stops early
-when the combined hard decision re-encodes cleanly in both dimensions.
+the decoder's root feedback as the new extrinsic. One transform, rows then
+columns, encodes the bit grid and is its own inverse. Each pair applies it
+once to every undecided frame's hard decision: the grid gives the frame's
+info_hat, and the frame stops early once the grid is 0 on every frozen row
+and column.
 """
 
 from dataclasses import dataclass
@@ -71,32 +74,16 @@ def ppc_encode(ppc: ProductPolarCode, info_matrix: np.ndarray) -> np.ndarray:
     info = info[None] if single else info
     if info.shape[-2:] != ppc.info_shape:
         raise ValueError(f"info shape {info.shape[-2:]} != {ppc.info_shape}")
-    B = info.shape[0]
-    u = np.zeros((B,) + ppc.shape, dtype=np.uint8)
-    u[np.ix_(np.arange(B), ppc.col_code.info_positions, ppc.row_code.info_positions)] = info
-    x = butterfly_transform(u)                    # each row through the row code
-    x = _transform_columns(x)                     # each column through the column code
+    u = np.zeros((info.shape[0],) + ppc.shape, dtype=np.uint8)
+    u[:, ppc.col_code.info_positions[:, None], ppc.row_code.info_positions] = info
+    x = _transform(u)
     return x[0] if single else x
 
 
-def _transform_columns(mat: np.ndarray) -> np.ndarray:
-    return np.swapaxes(butterfly_transform(np.swapaxes(mat, -1, -2)), -1, -2)
-
-
-def _matrix_info(ppc: ProductPolarCode, x_hat: np.ndarray) -> np.ndarray:
-    """Invert both transforms (self-inverse) and read the info grid."""
-    u = _transform_columns(butterfly_transform(x_hat))
-    B = u.shape[0]
-    return u[np.ix_(np.arange(B), ppc.col_code.info_positions, ppc.row_code.info_positions)]
-
-
-def _valid_frames(ppc: ProductPolarCode, x_hat: np.ndarray) -> np.ndarray:
-    """Per-frame check that every row and column re-encodes cleanly."""
-    u_rows = butterfly_transform(x_hat)
-    u_cols = _transform_columns(x_hat)
-    rows_ok = ~np.any(u_rows[:, :, ppc.row_code.frozen_mask], axis=(1, 2))
-    cols_ok = ~np.any(u_cols[:, ppc.col_code.frozen_mask, :], axis=(1, 2))
-    return rows_ok & cols_ok
+def _transform(mat: np.ndarray) -> np.ndarray:
+    """Butterfly every row, then every column; self-inverse, so it encodes and decodes."""
+    rows = butterfly_transform(mat)
+    return np.swapaxes(butterfly_transform(np.swapaxes(rows, -1, -2)), -1, -2)
 
 
 def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
@@ -122,8 +109,10 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     col_dec = row_dec if ppc.col_code == ppc.row_code else spec.build(ppc.col_code)
 
     x_hat = np.zeros((B, N_c, N_r), dtype=np.uint8)
+    info_hat = np.zeros((B,) + ppc.info_shape, dtype=np.uint8)
     iters = np.full(B, cfg.half_iteration_pairs, dtype=int)
     idx, e_col = np.arange(B), np.zeros_like(llrs)   # idx, llrs, e_col: frames still decoding
+    frozen = ppc.col_code.frozen_mask[:, None] | ppc.row_code.frozen_mask   # (N_c, N_r) grid
 
     for pair in range(1, cfg.half_iteration_pairs + 1):
         if idx.size == 0:
@@ -132,11 +121,12 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
         cols_in = np.swapaxes(llrs + e_row, -1, -2).reshape(-1, N_c)
         e_col = np.swapaxes(col_dec(cols_in).root_extrinsic.reshape(-1, N_r, N_c), -1, -2)
         hard = (llrs + e_row + e_col < 0).astype(np.uint8)
+        u = _transform(hard)
         x_hat[idx] = hard
-        ok = _valid_frames(ppc, hard)
+        info_hat[idx] = u[:, ppc.col_code.info_positions[:, None], ppc.row_code.info_positions]
+        ok = ~u[:, frozen].any(axis=1)   # decided: the transform is 0 on every frozen row and column
         iters[idx[ok]] = pair
         idx, llrs, e_col = idx[~ok], llrs[~ok], e_col[~ok]
 
     rows = 0 if single else slice(None)
-    info_hat = _matrix_info(ppc, x_hat)
     return PpcOutput(x_hat=x_hat[rows], info_hat=info_hat[rows], iterations_used=iters[rows])

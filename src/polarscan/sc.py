@@ -10,7 +10,7 @@ import numpy as np
 
 from .arithmetic import boxplus_minsum
 from .channel import checked_llrs
-from .codes import PolarCode
+from .codes import PolarCode, _check_dims
 from .scan import ScanOutput
 
 
@@ -40,4 +40,5 @@ def sc_decode(code: PolarCode, channel_llrs: np.ndarray) -> ScanOutput:
 
 def sc_latency(N: int) -> int:
     """Clock cycles of the sequential SC schedule: 2N - 2."""
+    _check_dims(N, 0)
     return 2 * N - 2

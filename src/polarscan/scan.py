@@ -57,10 +57,10 @@ from .codes import PolarCode, butterfly_transform
 from .kernels import stair, stair_demands
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless value is an integer (numpy's too) >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer (numpy's too) >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass

@@ -1,12 +1,14 @@
-"""Reliability sequences: loading, validation, and subcode extraction.
+"""Reliability sequences: loading, checking, and subcode extraction.
 
-A reliability sequence is a permutation of {0..N_max-1} listed in ascending
-reliability (most reliable index last). The package ships the 1024-entry
-universal sequence from the 5G NR standard (TS 38.212) as a data asset;
-shorter codes use the subsequence of indices < N with order preserved.
+A reliability sequence is a read-only int64 array holding a permutation of
+{0..N_max-1} in ascending reliability (most reliable index last), N_max a
+power of two. Every order passes one vectorised check on its way in. The
+package ships the 1024-entry universal sequence from the 5G NR standard
+(TS 38.212) as a data asset; shorter codes use the subsequence of indices
+< N with order preserved.
 """
 
-from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -15,34 +17,26 @@ import numpy as np
 _ASSET_NAME = "nr_reliability_1024.txt"
 
 
-@dataclass(frozen=True)
-class ReliabilitySequence:
-    """A length-N_max permutation, ascending reliability."""
-
-    universal_order: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return int(self.universal_order.size)
-
-    def __post_init__(self):
-        self.universal_order.flags.writeable = False
-
-
-def _validate(order: np.ndarray) -> None:
-    L = order.size
+def _checked_order(order) -> np.ndarray:
+    """order as a read-only int64 copy; raises ValueError unless it is a 1-D
+    integer permutation of {0..L-1} with L a power of two, naming the first
+    entry that is out of range or repeats an earlier one."""
+    order = np.asarray(order)
+    if order.ndim != 1 or (order.size and order.dtype.kind not in "iu"):
+        raise ValueError(f"a sequence must be 1-D integers, got {order.dtype} of shape {order.shape}")
+    order, L = order.astype(np.int64), order.size
     if L == 0 or (L & (L - 1)) != 0:
         raise ValueError(f"sequence length {L} is not a power of two")
-    seen = np.zeros(L, dtype=bool)
-    for v in order:
-        if v < 0 or v >= L:
-            raise ValueError(f"index {v} out of range for length {L}")
-        if seen[v]:
-            raise ValueError(f"duplicate index {v}")
-        seen[v] = True
+    first = np.zeros(L, dtype=bool)
+    first[np.unique(order, return_index=True)[1]] = True
+    bad = order[(order < 0) | (order >= L) | ~first]
+    if bad.size:
+        raise ValueError(f"duplicate index {bad[0]}" if 0 <= bad[0] < L else f"index {bad[0]} out of range for length {L}")
+    order.flags.writeable = False
+    return order
 
 
-def load_reliability_sequence(source) -> ReliabilitySequence:
+def load_reliability_sequence(source) -> np.ndarray:
     """Parse a reliability sequence from a path (str or Path), or from content
     given as bytes or a file object.
 
@@ -63,27 +57,22 @@ def load_reliability_sequence(source) -> ReliabilitySequence:
         values = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"malformed token in sequence: {exc}") from None
-    order = np.asarray(values, dtype=np.int64)
-    _validate(order)
-    return ReliabilitySequence(order)
+    return _checked_order(values)
 
 
-_default_cache = None
-
-
-def default_sequence() -> ReliabilitySequence:
+@cache
+def default_sequence() -> np.ndarray:
     """The shipped 1024-entry 5G NR universal sequence (cached)."""
-    global _default_cache
-    if _default_cache is None:
-        data = resources.files(__package__).joinpath("data", _ASSET_NAME).read_bytes()
-        _default_cache = load_reliability_sequence(data)
-    return _default_cache
+    return load_reliability_sequence(
+        resources.files(__package__).joinpath("data", _ASSET_NAME).read_bytes())
 
 
-def subcode_order(seq: ReliabilitySequence, N: int) -> np.ndarray:
-    """Indices < N of the universal order, order preserved (ascending reliability)."""
+def subcode_order(seq, N: int) -> np.ndarray:
+    """Indices < N of the universal order seq (any 1-D integer sequence),
+    order preserved (ascending reliability)."""
     if N <= 0 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
-    if N > seq.n_max:
-        raise ValueError(f"N={N} exceeds sequence N_max={seq.n_max}")
-    return seq.universal_order[seq.universal_order < N]   # a copy: boolean indexing
+    order = _checked_order(seq)
+    if N > order.size:
+        raise ValueError(f"N={N} exceeds sequence N_max={order.size}")
+    return order[order < N]   # a copy: boolean indexing

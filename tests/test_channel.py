@@ -27,6 +27,13 @@ def test_noise_sigma_rejects_nonpositive_rate():
         noise_sigma(1.0, 0.0)
     with pytest.raises(ValueError):
         noise_sigma(1.0, -0.5)
+    with pytest.raises(ValueError, match="^rate must be positive$"):
+        noise_sigma(1.0, float("nan"))
+
+
+def test_modulate_rejects_values_that_are_not_bits():
+    with pytest.raises(ValueError, match="0 or 1, got 2$"):
+        modulate([0, 1, 2])
 
 
 def test_noise_sigma_rejects_ebn0_without_finite_positive_sigma():

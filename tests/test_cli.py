@@ -28,6 +28,14 @@ def test_construct_bhattacharyya(capsys):
     assert len(json.loads(out)["frozen"]) == 8
 
 
+def test_construct_rejects_a_design_snr_outside_the_usable_range(capsys):
+    for snr in ("nan", "1e9"):
+        rc, out, err = run_cli(capsys, "construct", "--n", "8", "--k", "4",
+                               "--method", "bhattacharyya", "--design-snr", snr)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: design SNR of ")
+
+
 def test_encode(capsys):
     rc, out, _ = run_cli(capsys, "encode", "--n", "8", "--k", "4", "--info", "1,1,0,1")
     assert rc == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_subcode_order_prefix_property():
     for N in (8, 32, 256):
         order = subcode_order(seq, N)
         assert sorted(order.tolist()) == list(range(N))
-        full = [v for v in seq.universal_order if v < N]
+        full = [v for v in seq if v < N]
         np.testing.assert_array_equal(order, full)
 
 
@@ -146,7 +147,7 @@ def test_sequence_validation(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("# comment\n0 1 2 3\n")
     seq = load_reliability_sequence(str(p))
-    np.testing.assert_array_equal(seq.universal_order, [0, 1, 2, 3])
+    np.testing.assert_array_equal(seq, [0, 1, 2, 3])
 
     p.write_text("0 1 2 x\n")
     with pytest.raises(ValueError):
@@ -161,8 +162,8 @@ def test_sequence_validation(tmp_path):
         load_reliability_sequence(str(p))
 
     # bytes and file objects are content, never a path
-    np.testing.assert_array_equal(load_reliability_sequence(b"0 1 2 3").universal_order, [0, 1, 2, 3])
-    np.testing.assert_array_equal(load_reliability_sequence(io.StringIO("1 0\n")).universal_order, [1, 0])
+    np.testing.assert_array_equal(load_reliability_sequence(b"0 1 2 3"), [0, 1, 2, 3])
+    np.testing.assert_array_equal(load_reliability_sequence(io.StringIO("1 0\n")), [1, 0])
 
 
 def test_build_code_validation():
@@ -184,6 +185,52 @@ def test_bhattacharyya_sanity():
     # higher design SNR keeps it a permutation
     order = bhattacharyya_order(64, design_snr_db=3.0)
     assert sorted(order.tolist()) == list(range(64))
+
+
+def test_custom_orders_must_be_permutations(tmp_path):
+    # a list or an array, checked the same way on its way into build_code
+    for bad, why in (([0] * 8, "duplicate index 0"), ([7, 6, 5, 4, 3, 2, 1, 9], "index 9 out of range")):
+        for seq in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match=why):
+                build_code(8, 4, seq=seq)
+            with pytest.raises(ValueError, match=why):
+                subcode_order(seq, 4)
+    with pytest.raises(ValueError, match="length 6 is not a power of two"):
+        build_code(4, 2, seq=[3, 2, 1, 0, 4, 5])
+    p = tmp_path / "seq.txt"
+    p.write_text("6 0 5 1 4 2 7 3\n")
+    from_list = build_code(8, 3, seq=[6, 0, 5, 1, 4, 2, 7, 3])
+    assert from_list == build_code(8, 3, seq=load_reliability_sequence(p))
+    np.testing.assert_array_equal(np.flatnonzero(from_list.frozen_mask), [0, 1, 4, 5, 6])
+
+
+def test_order_check_names_the_entry_a_loop_stops_at(rng):
+    def first_fault(order):   # the per-entry loop the vectorised check replaced
+        seen = set()
+        for v in order:
+            if not 0 <= v < len(order):
+                return f"index {v} out of range for length {len(order)}"
+            if v in seen:
+                return f"duplicate index {v}"
+            seen.add(v)
+
+    for _ in range(200):
+        order = rng.integers(-2, 10, size=8).tolist()
+        want = first_fault(order)
+        if want is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                subcode_order(order, 8)
+
+
+def test_bhattacharyya_design_snr_must_start_z_inside_0_1():
+    # outside (0, 1) every index ties and the order falls back to the identity
+    for snr in (np.nan, np.inf, -np.inf, 28.8, -163.6, 1e9):
+        with pytest.raises(ValueError, match=re.escape(f"design SNR of {snr!r} dB")):
+            bhattacharyya_order(16, snr)
+    frozen = {snr: np.flatnonzero(build_code(32, 12, method="bhattacharyya", design_snr_db=snr).frozen_mask)
+              for snr in (0.0, 2.0)}
+    np.testing.assert_array_equal(frozen[0.0], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20, 24])
+    np.testing.assert_array_equal(frozen[2.0], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 20, 24])
 
 
 def test_bhattacharyya_code_decodes_noiseless(rng):

@@ -1,5 +1,8 @@
 """Cycle accounting for flat SCAN, compiled schedules, and product codes."""
 
+import numpy as np
+import pytest
+
 from polarscan import (
     DEFAULT_TYPES,
     KERNEL_TYPES,
@@ -8,6 +11,7 @@ from polarscan import (
     gain,
     latency_table,
     ppc_latency,
+    sc_latency,
     scan_latency,
     schedule_latency,
 )
@@ -78,6 +82,17 @@ def test_ppc_latency():
     assert ppc_latency(58, 58, 8) == 928
     assert ppc_latency(1530, 1530, 8) == 24480
     assert ppc_latency(100, 200, 0) == 0
+
+
+def test_cycle_models_reject_impossible_sizes():
+    assert scan_latency(np.int64(8)) == 42 and sc_latency(np.int64(8)) == 14
+    for N in (0, 1, 3, 12, 8.0):
+        for model in (scan_latency, sc_latency):
+            with pytest.raises(ValueError, match=f"N={N} must be a power of two"):
+                model(N)
+    for bad in ((-1, 5, 0), (5, -1, 2), (5, 5, -1), (5, 5, 2.5), (5.0, 5, 2)):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            ppc_latency(*bad)
 
 
 def test_more_types_never_slower():

@@ -122,6 +122,24 @@ def test_batch_frames_match_their_lone_decodes(rng, decoder):
         assert batch.iterations_used[j] == alone.iterations_used
 
 
+@pytest.mark.parametrize("decoder", ["scan", "fast_scan"])
+def test_non_square_frames_stop_only_on_a_codeword(rng, decoder):
+    ppc = ProductPolarCode(row_code=build_code(16, 11), col_code=build_code(8, 4))
+    _, _, llrs = noisy_llr_batch(ppc, 1.5, 48, rng)
+    cap = 4
+    out = ppc_decode(ppc, llrs, PpcConfig(half_iteration_pairs=cap), decoder=decoder)
+    assert out.x_hat.shape == (48, 8, 16) and out.info_hat.shape == (48, 4, 11)
+    reencodes = np.all(ppc_encode(ppc, out.info_hat) == out.x_hat, axis=(1, 2))
+    stopped = out.iterations_used < cap
+    assert stopped.any() and not reencodes.all()
+    assert reencodes[stopped].all()
+    assert np.all(out.iterations_used[~reencodes] == cap)
+    # the info grid of x_hat, read through both butterflies written out here
+    u = np.swapaxes(butterfly_transform(np.swapaxes(butterfly_transform(out.x_hat), 1, 2)), 1, 2)
+    np.testing.assert_array_equal(
+        out.info_hat, u[:, ppc.col_code.info_positions[:, None], ppc.row_code.info_positions])
+
+
 def test_early_stop_on_valid_word(rng):
     # mild noise: most frames converge before the pair budget runs out
     ppc = square_ppc(16, 11)
