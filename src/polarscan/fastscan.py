@@ -10,7 +10,9 @@ one decode body scan._decode, and in min-sum and exact arithmetic alike
 their outputs are bit-identical.
 
 A pruned subtree never computes its interior messages, so the leaf-level
-extrinsic lam[0] is filled in after the last iteration, in closed form.
+extrinsic (the stage-0 demands) is filled in after the last iteration, in
+closed form, over each kernel leaf's demand in the leaf region of
+scan.MessageMemory.
 A kernel leaf's subtree splits at each level into a Rate0 or Rate1 child
 and a smaller such node, and inside Rate0 and Rate1 nodes every feedback
 is a constant once visited. So SCAN's stage-0 demands inside the leaf
@@ -38,7 +40,7 @@ class FastScanDecoder:
     schedule=None prunes DEFAULT_TYPES; a schedule prunes the types it was
     built with, and one built for another frozen mask raises.
 
-    leaf_extrinsic=False skips the lam[0] fill inside pruned subtrees and
+    leaf_extrinsic=False skips the stage-0 fill inside pruned subtrees and
     returns None for leaf_extrinsic; useful when only the codeword-side
     outputs are consumed. For the (128,64) code in exact arithmetic, 2
     iterations and 16 frames per call, the fill is about a third of the

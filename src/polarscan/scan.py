@@ -1,26 +1,40 @@
 """Soft cancellation (SCAN) decoding: one schedule executor for every tree.
 
 SCAN runs the successive-cancellation traversal but passes soft messages in
-both directions and keeps them between iterations. Messages live in two
-(n+1, batch, N) arrays:
+both directions and keeps them between iterations. A decode keeps only the
+messages that are read again, in one (E, frames) buffer in C order, frames
+last (the inter-frame layout of Le Gal, Leroux & Jego, IEEE TSP 2015): any
+span of rows is one contiguous block, and every update runs over contiguous
+memory. In a stage-n tree (N = 2^n) the rows are, in order:
 
-    lam[t][:, i*2^t : (i+1)*2^t]   demands into node i of stage t
-    beta[t][...]                   feedback out of node i of stage t
+    region    rows          holds
+    channel   N             clamped channel LLRs, the root's demand; never written
+    internal  N             internal nodes' demands at SC offsets: stage t
+                            (0 < t < n) at [2^t, 2^(t+1)); rows 0 and 1 unused
+    leaf      N             every leaf's demand at its own positions; leaves
+                            are stage-0 nodes and pruned kernel leaves, and
+                            they partition [0, N)
+    prior     N             stage-0 feedback: +inf (certainty) at frozen
+                            positions, 0 elsewhere; never written
+    left      N             left children's feedback, stage t (0 < t < n) at
+                            [2^t, 2^(t+1)); rows 0 and 1 unused
+    right     (n-1) N/2     right children's feedback, N/2 rows per stage t
+                            (0 < t < n), node i at (i // 2) 2^t
+    root      N             the root's feedback
 
-Each array is a transposed view of an (n+1, N, batch) buffer, frames last
-(the inter-frame layout of Le Gal, Leroux & Jego, IEEE TSP 2015), so a node
-slice lam[t][:, lo:hi] is one contiguous block of (hi-lo)*batch floats and
-every update runs over contiguous memory. The arrays index as (n+1, batch,
-N) all the same.
+E = (n/2 + 5.5) N. MessageMemory views the channel, leaf, prior and root
+regions by name, the first three regions together as its demands and the
+other four as its feedback. A child's demand is dead once its subtree has
+run, so one block per stage holds the demands along the current path, as in
+an SC decoder (Leroux et al., IEEE TSP 2013). A left child's feedback is
+written and read within one visit of its parent, so one block per stage
+holds it too. Only a right child's feedback persists: the parent's next
+left demand reads it. Demands stay finite; feedback holds finite values and
++inf only (see arithmetic.py). Every row but the channel and prior starts
+at 0.
 
-lam[n] is the channel LLR vector, clamped to [-SAT, SAT], and is never
-modified; beta[0] is +inf (certainty) at frozen leaf positions and 0
-elsewhere and is never modified. All other entries start at 0 and persist
-across one decode's iterations. Every lam stays finite, and beta holds
-finite values and +inf only (see arithmetic.py).
-
-Per node of half-size h, with a = lam_t[:h], b = lam_t[h:], bl/br the
-children's beta:
+Per node of half-size h, with a, b its demand's halves and bl, br the
+children's feedback:
 
     left demand   f(a, b + br)        (br still holds last iteration's value)
     right demand  f(a, bl) + b        (bl freshly updated by the left child)
@@ -32,16 +46,21 @@ right demand instead of computing it again. The decoder is batched: a frame
 axis is broadcast through every update.
 
 A decoding tree compiles once (_compile, cached) into a program: a flat
-tuple of ops in depth-first order, each with precomputed index tuples into
-lam and beta (left demand, right demand and feedback per internal node, and
-per pruned F^j I^(s-j) leaf one op that carries j and runs kernels.stair),
-and the leaf-fill groups. _run_ops executes one iteration in a plain loop;
-the f(a, bl) of each node whose right subtree is running waits on a stack,
-as the ops nest. SCAN is this executor over the unpruned tree, fast-SCAN
-(fastscan.py) over a pruned schedule. Both decoders share one decode body,
-_decode, which runs the executor once per iteration. A pruned schedule
-leaves lam[0] inside its kernel leaves unwritten; with leaf extrinsics on,
-_decode fills it after the last iteration, group by group, from each leaf's
+tuple of ops in depth-first order and the leaf-fill groups. Each op names
+its operands as row slices of the buffer:
+
+    _LEFT      destination, a, b, br
+    _RIGHT     destination, a, b, bl
+    _FEEDBACK  own left half, own right half, b, bl, br
+    _LEAF      feedback, demand, j   (a pruned F^j I^(s-j) leaf: kernels.stair)
+
+_run_ops executes one iteration in a plain loop; the f(a, bl) of each node
+whose right subtree is running waits on a stack, as the ops nest. SCAN is
+this executor over the unpruned tree, fast-SCAN (fastscan.py) over a pruned
+schedule. Both decoders share one decode body, _decode, which runs the
+executor once per iteration. A kernel leaf's row of the leaf region holds
+its demand, not its stage-0 demands; with leaf extrinsics on, _decode turns
+it into them after the last iteration, group by group, from each leaf's
 final demand and the one before it.
 """
 
@@ -58,8 +77,8 @@ from .kernels import stair, stair_demands
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise ValueError unless value is an integer (numpy's too) >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """Raise ValueError unless value is an integer (numpy's too, not a bool) >= least."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -73,19 +92,58 @@ class ScanConfig:
         combiner(self.arithmetic)  # validates the mode name
 
 
+def _buffer_rows(n: int) -> int:
+    """E, the buffer rows of a stage-n decode: (n/2 + 5.5) N."""
+    return (n + 11) << n >> 1
+
+
 @dataclass
 class MessageMemory:
-    """One decode's lam/beta arrays, shape (n+1, batch, N) each, frames last
-    in memory (see the module docstring); they persist across its iterations."""
+    """One decode's messages: buffer, (E, frames) in C order, laid out as in
+    the module docstring; it persists across the decode's iterations. Each
+    named region is a (frames, rows) view of it, frames last in memory."""
 
-    lam: np.ndarray
-    beta: np.ndarray
+    buffer: np.ndarray
+    n: int
+
+    def _view(self, lo: int, hi: int) -> np.ndarray:
+        return self.buffer[lo << self.n:hi << self.n].T
+
+    @property
+    def channel(self) -> np.ndarray:
+        """(frames, N) clamped channel LLRs."""
+        return self._view(0, 1)
+
+    @property
+    def demands(self) -> np.ndarray:
+        """(frames, 3N): the channel, internal-demand and leaf regions."""
+        return self._view(0, 3)
+
+    @property
+    def leaf(self) -> np.ndarray:
+        """(frames, N) leaf demands; after the leaf fill, the stage-0 demands."""
+        return self._view(2, 3)
+
+    @property
+    def prior(self) -> np.ndarray:
+        """(frames, N) frozen prior, the stage-0 feedback."""
+        return self._view(3, 4)
+
+    @property
+    def feedback(self) -> np.ndarray:
+        """(frames, E - 3N): the prior, left, right and root regions."""
+        return self.buffer[3 << self.n:].T
+
+    @property
+    def root(self) -> np.ndarray:
+        """(frames, N) root feedback."""
+        return self.buffer[-(1 << self.n):].T
 
 
 @dataclass
 class ScanOutput:
-    leaf_extrinsic: np.ndarray   # lam at stage 0 after the final iteration
-    root_extrinsic: np.ndarray   # beta at stage n
+    leaf_extrinsic: np.ndarray   # stage-0 demands after the final iteration
+    root_extrinsic: np.ndarray   # the root's feedback
     x_hat: np.ndarray
 
     @property
@@ -95,18 +153,17 @@ class ScanOutput:
 
 
 def init_messages(code: PolarCode, channel_llrs: np.ndarray) -> MessageMemory:
-    """Fresh memory: clamped channel LLRs at stage n, frozen +inf at stage 0,
-    zeros elsewhere; (n+1, batch, N) arrays stored frames last."""
+    """Fresh memory, one (E, frames) buffer: clamped channel LLRs in the
+    channel region, +inf at frozen positions of the prior, zeros elsewhere."""
     llrs = checked_llrs(channel_llrs, code.N)
-    shape = (code.n + 1, code.N, llrs.shape[0])
-    mem = MessageMemory(lam=np.zeros(shape).transpose(0, 2, 1), beta=np.zeros(shape).transpose(0, 2, 1))
-    mem.lam[code.n] = llrs
-    mem.beta[0][:, code.frozen_mask] = np.inf
+    mem = MessageMemory(np.zeros((_buffer_rows(code.n), llrs.shape[0])), code.n)
+    mem.channel[...] = llrs
+    mem.prior[:, code.frozen_mask] = np.inf
     return mem
 
 
 _LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
-_PROGRAMS = 32   # programs kept; the full n = 10 tree's takes about 0.7 MB
+_PROGRAMS = 32   # programs kept; the full n = 10 tree's takes about 1.0 MB
 
 
 @lru_cache(maxsize=_PROGRAMS)
@@ -115,30 +172,50 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
 
     leaves holds (stage, index, j) per pruned leaf, j the number of leading
     frozen positions of its F^j I^(s-j) pattern; () is the unpruned tree.
-    Stage-0 nodes emit no op, as beta[0] never changes. Other leaves emit
-    (_LEAF, node, j, None, None), other nodes (op, a, b, l, r) for _LEFT,
-    _RIGHT and _FEEDBACK, a, b indexing the halves and l, r the children.
-    fills holds, per (stage, j) in order of first visit, (stage, positions,
-    j): positions is a read-only (leaves, 2^stage) array in visit order.
+    Each op is a 6-tuple (kind, operands..., None padding), its operands row
+    slices of the buffer as listed in the module docstring. Stage-0 nodes
+    emit no op, as the prior never changes. fills holds, per (stage, j) in
+    order of first visit, (stage, positions, j): positions is a read-only
+    (leaves, 2^stage) array of leaf-region rows in visit order.
     """
+    N = 1 << n
     pruned = {(t, i): j for t, i, j in leaves}
-    ops, groups, whole = [], {}, slice(None)
+    ops, groups, cuts = [], {}, {}
+
+    def rows(lo, size):   # one slice per span, shared by every op that names it
+        return cuts.setdefault((lo, size), slice(lo, lo + size))
+
+    def demand(t, i):
+        if t == n:
+            return rows(0, N)
+        if t == 0 or (t, i) in pruned:
+            return rows(2 * N + (i << t), 1 << t)
+        return rows(N + (1 << t), 1 << t)
+
+    def feedback(t, i):
+        if t == n:
+            return rows(_buffer_rows(n) - N, N)
+        if t == 0:
+            return rows(3 * N + i, 1)
+        if i % 2 == 0:
+            return rows(4 * N + (1 << t), 1 << t)
+        return rows(5 * N + (t - 1) * N // 2 + (i >> 1 << t), 1 << t)
 
     def visit(t, i):
         if t == 0:
             return
-        lo, size = i << t, 1 << t
         if (t, i) in pruned:
-            ops.append((_LEAF, (t, whole, slice(lo, lo + size)), pruned[t, i], None, None))
-            groups.setdefault((t, pruned[t, i]), []).append(range(lo, lo + size))
+            ops.append((_LEAF, feedback(t, i), demand(t, i), pruned[t, i], None, None))
+            groups.setdefault((t, pruned[t, i]), []).append(range(i << t, (i + 1) << t))
             return
-        left, right = slice(lo, lo + size // 2), slice(lo + size // 2, lo + size)
-        idx = ((t, whole, left), (t, whole, right), (t - 1, whole, left), (t - 1, whole, right))
-        ops.append((_LEFT,) + idx)
+        h, own, fb = 1 << (t - 1), demand(t, i), feedback(t, i)
+        a, b = rows(own.start, h), rows(own.start + h, h)
+        bl, br = feedback(t - 1, 2 * i), feedback(t - 1, 2 * i + 1)
+        ops.append((_LEFT, demand(t - 1, 2 * i), a, b, br, None))
         visit(t - 1, 2 * i)
-        ops.append((_RIGHT,) + idx)
+        ops.append((_RIGHT, demand(t - 1, 2 * i + 1), a, b, bl, None))
         visit(t - 1, 2 * i + 1)
-        ops.append((_FEEDBACK,) + idx)
+        ops.append((_FEEDBACK, rows(fb.start, h), rows(fb.start + h, h), b, bl, br))
 
     visit(n, 0)
     fills = tuple((t, np.array(spans), j) for (t, j), spans in groups.items())
@@ -149,21 +226,21 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
 
 def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig) -> None:
     """One decoding iteration."""
-    lam, beta, arithmetic = mem.lam, mem.beta, cfg.arithmetic
+    buf, arithmetic = mem.buffer, cfg.arithmetic
     f = combiner(arithmetic)
     pending = []   # f(a, bl) of each node whose right subtree is running
-    for op, a, b, l, r in ops:
-        if op == _LEFT:
-            lam[l] = f(lam[a], sat_add(lam[b], beta[r]))
-        elif op == _RIGHT:
-            fab = f(lam[a], beta[l])
+    for op, p, q, r, s, u in ops:
+        if op == _LEFT:        # destination, a, b, br
+            buf[p] = f(buf[q], sat_add(buf[r], buf[s]))
+        elif op == _RIGHT:     # destination, a, b, bl
+            fab = f(buf[q], buf[s])
             pending.append(fab)
-            lam[r] = sat_add(fab, lam[b])
-        elif op == _FEEDBACK:
-            beta[a] = f(beta[l], sat_add(lam[b], beta[r]))
-            beta[b] = sat_add(beta[r], pending.pop())
-        else:   # kernel leaf: a is the node, b its j
-            beta[a] = stair(lam[a], b, arithmetic)
+            buf[p] = sat_add(fab, buf[r])
+        elif op == _FEEDBACK:  # own halves, b, bl, br
+            buf[p] = f(buf[s], sat_add(buf[r], buf[u]))
+            buf[q] = sat_add(buf[u], pending.pop())
+        else:                  # kernel leaf: feedback, demand, j
+            buf[p] = stair(buf[q].T, r, arithmetic).T
 
 
 def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
@@ -174,10 +251,10 @@ def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
     in its place. root_extrinsic is +inf, unclamped, exactly where the
     frozen set fixes a bit."""
     rows = 0 if squeeze else slice(None)
-    ap = sat_add(mem.lam[code.n], mem.beta[code.n])
+    ap = sat_add(mem.channel, mem.root)
     x_hat = np.ascontiguousarray(ap < 0, dtype=np.uint8)   # ap is frame-last like mem
-    return ScanOutput(leaf_extrinsic=_soft_output(mem.lam[0][rows]) if leaf_extrinsic else None,
-                      root_extrinsic=_soft_output(mem.beta[code.n][rows]), x_hat=x_hat[rows])
+    return ScanOutput(leaf_extrinsic=_soft_output(mem.leaf[rows]) if leaf_extrinsic else None,
+                      root_extrinsic=_soft_output(mem.root[rows]), x_hat=x_hat[rows])
 
 
 def _soft_output(x: np.ndarray) -> np.ndarray:
@@ -191,23 +268,26 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     cfg.iterations runs of dec._ops, then finalize; nothing is kept on dec.
 
     With leaf_extrinsic set, each (stage, positions, j) of dec._fills, the
-    fill groups of _compile, fills lam[0] inside one group of F^j I^(2^stage-j)
-    leaves after the last iteration, from the leaves' final demands and, when
-    there was an iteration before, their demands from it, copied out before
-    the last one."""
+    fill groups of _compile, turns the leaf region of one group of
+    F^j I^(2^stage-j) leaves into their stage-0 demands after the last
+    iteration, from the leaves' final demands and, when there was an
+    iteration before, their demands from it, gathered before the last one."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
     fills = dec._fills if leaf_extrinsic else ()
+    leaf = mem.leaf.T   # (N, frames)
+    # a pruned root is the one leaf whose demand is the channel, not the leaf region
+    demand = mem.channel.T if fills and fills[0][0] == dec.code.n else leaf
     prev = [None] * len(fills)
     for k in range(cfg.iterations):
         if k and k == cfg.iterations - 1:
-            prev = [mem.lam[t].T[span].swapaxes(-1, -2) for t, span, _ in fills]
+            prev = [demand[span].swapaxes(-1, -2) for _, span, _ in fills]
         _run_ops(dec._ops, mem, cfg)
     for (t, span, j), p in zip(fills, prev):
-        lam = mem.lam[t].T[span]   # (leaves, 2^t, frames), frames last like mem
+        lam = demand[span]   # (leaves, 2^t, frames), frames last like mem
         stair_demands(lam.swapaxes(-1, -2), p, j, cfg.arithmetic)
-        mem.lam[0].T[span] = lam
+        leaf[span] = lam
     return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 
 
@@ -217,7 +297,7 @@ class ScanDecoder:
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        self._ops, self._fills = _compile(code.n)   # no fills: the executor writes every lam[0]
+        self._ops, self._fills = _compile(code.n)   # no fills: the executor writes every leaf demand
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, True)

@@ -194,14 +194,14 @@ def _bits(x):
 
 
 def _assert_leaf_demands_bit_identical(code, cfg, llrs, final_memory):
-    """leaf_extrinsic and the raw lam[0] finalize receives, bit for bit
+    """leaf_extrinsic and the raw leaf region finalize receives, bit for bit
     against SCAN, under default and all node types."""
     want = ScanDecoder(code, cfg).decode(llrs).leaf_extrinsic
     full_mem = final_memory[-1]
     for kw in ({}, {"schedule": build_schedule(code, KERNEL_TYPES)}):
         dec = FastScanDecoder(code, cfg, **kw)
         np.testing.assert_array_equal(_bits(dec.decode(llrs).leaf_extrinsic), _bits(want))
-        np.testing.assert_array_equal(_bits(final_memory[-1].lam[0]), _bits(full_mem.lam[0]))
+        np.testing.assert_array_equal(_bits(final_memory[-1].leaf), _bits(full_mem.leaf))
 
 
 @pytest.mark.parametrize("iters", (1, 2, 3, 4))

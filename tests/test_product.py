@@ -173,6 +173,13 @@ def test_config_validation():
     assert PpcConfig(half_iteration_pairs=np.int64(2)).half_iteration_pairs == 2
 
 
+@pytest.mark.parametrize("name", ["half_iteration_pairs", "inner_scan_iterations"])
+def test_config_rejects_bool_counts(name):
+    # True is a numbers.Integral, and was taken as one pair or iteration
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got True"):
+        PpcConfig(**{name: True})
+
+
 def test_decode_llr_shape_mismatch(rng):
     ppc = square_ppc(4, 2)
     with pytest.raises(ValueError):

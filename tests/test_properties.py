@@ -115,9 +115,10 @@ def test_fast_scan_equals_scan_in_minsum_mode(case, types):
 @given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]),
        st.sampled_from(["minsum", "exact"]))
 def test_demands_stay_finite_and_certainty_is_plus_inf(case, types, arithmetic):
-    # after every executor iteration of every decode, lam is finite and beta
-    # finite or +inf (no NaN, no -inf); the leaf fill runs after the last
-    # iteration, so the leaf extrinsic output is checked on its own
+    # after every executor iteration of every decode, the demand region is
+    # finite and the feedback region finite or +inf (no NaN, no -inf); the
+    # leaf fill runs after the last iteration, so the leaf extrinsic output is
+    # checked on its own
     mask, llrs, iterations = case
     code = code_from_mask(mask)
     cfg = ScanConfig(iterations=iterations, arithmetic=arithmetic)
@@ -126,8 +127,8 @@ def test_demands_stay_finite_and_certainty_is_plus_inf(case, types, arithmetic):
     def checked(ops, mem, *args):
         run_ops(ops, mem, *args)
         runs.append(ops)
-        assert np.isfinite(mem.lam).all()
-        assert not (np.isnan(mem.beta) | (mem.beta == -np.inf)).any()
+        assert np.isfinite(mem.demands).all()
+        assert not (np.isnan(mem.feedback) | (mem.feedback == -np.inf)).any()
 
     # x_j is fixed by the frozen set when every u_i with i & j == j is frozen
     fixed = [all(mask[i] for i in range(mask.size) if i & j == j) for j in range(mask.size)]

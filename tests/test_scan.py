@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from polarscan import (
     build_code,
     butterfly_transform,
     init_messages,
+    scan,
     scan_decode,
 )
 from polarscan.arithmetic import DEFAULT_SAT
@@ -26,16 +28,50 @@ inf = np.inf
 def test_init_messages_8_4():
     code = build_code(8, 4)
     mem = init_messages(code, np.zeros(8))
-    np.testing.assert_array_equal(mem.beta[0][0], [inf, inf, inf, 0, inf, 0, 0, 0])
-    assert not mem.lam[:3].any()
-    assert not mem.beta[1:].any()
+    assert mem.buffer.shape == (56, 1) and mem.buffer.flags.c_contiguous   # (n/2 + 5.5) N rows
+    np.testing.assert_array_equal(mem.prior[0], [inf, inf, inf, 0, inf, 0, 0, 0])
+    assert not mem.demands[:, 8:].any()    # all but the channel
+    assert not mem.feedback[:, 8:].any()   # all but the prior
+    for view in (mem.channel, mem.leaf, mem.prior, mem.root):
+        assert view.shape == (1, 8) and view.base is mem.buffer
 
 
 def test_init_messages_clamps_channel():
     code = build_code(4, 4)
     mem = init_messages(code, np.array([3.0, -2 * SAT, 5.0, 2 * SAT]))
-    np.testing.assert_array_equal(mem.lam[2][0], [3.0, -SAT, 5.0, SAT])
-    assert not mem.beta[0].any()  # rate-1: no frozen priors
+    np.testing.assert_array_equal(mem.channel[0], [3.0, -SAT, 5.0, SAT])
+    assert not mem.feedback.any()  # rate-1: no frozen priors
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_messages_fit_one_buffer_of_sc_size(n):
+    # one (E, frames) buffer of at most (n/2 + 6) N rows, against the
+    # 2 (n+1) N of a full demand grid plus a full feedback grid
+    code = build_code(1 << n, 1 << (n - 1))
+    mem = init_messages(code, np.zeros((3, code.N)))
+    assert mem.buffer.ndim == 2 and mem.buffer.base is None
+    assert mem.buffer.shape[1] == 3 and mem.buffer.flags.c_contiguous
+    assert mem.buffer.shape[0] <= (n / 2 + 6) * code.N
+    for view in (mem.channel, mem.demands, mem.leaf, mem.prior, mem.feedback, mem.root):
+        assert view.base is mem.buffer
+    assert mem.demands.shape[1] + mem.feedback.shape[1] == mem.buffer.shape[0]
+
+
+def test_decode_peak_memory_is_below_the_full_grid():
+    # the (n+1)-grid layout alone needs 2 * 11 * 1024 * 64 * 8 bytes
+    # (11.0 MB) at 64 frames of (1024,512)
+    code = build_code(1024, 512)
+    dec = ScanDecoder(code, ScanConfig(iterations=2))
+    llrs = np.random.default_rng(3).normal(1.0, 2.0, size=(64, 1024))
+    dec.decode(llrs)   # compiles the program outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dec.decode(llrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 * 11 * 1024 * 64 * 8
 
 
 def test_size2_example():
@@ -100,9 +136,9 @@ def test_channel_and_priors_untouched(rng, final_memory):
     dec = ScanDecoder(code, ScanConfig(iterations=3))
     dec.decode(llrs)
     mem, = final_memory
-    np.testing.assert_array_equal(mem.lam[code.n], llrs)
+    np.testing.assert_array_equal(mem.channel, llrs)
     expected = np.where(code.frozen_mask, inf, 0.0)
-    np.testing.assert_array_equal(mem.beta[0], np.broadcast_to(expected, (3, 16)))
+    np.testing.assert_array_equal(mem.prior, np.broadcast_to(expected, (3, 16)))
 
 
 @pytest.mark.parametrize("decoder, kw", [
@@ -120,10 +156,10 @@ def test_messages_are_freed_when_decode_returns(rng, final_memory, decoder, kw):
     try:
         out = dec.decode(rng.normal(size=(4, 64)))   # kept: outputs view no message
         mem, = final_memory
-        refs = [weakref.ref(mem.lam.base), weakref.ref(mem.beta.base)]
+        ref = weakref.ref(mem.buffer)
         del mem
         final_memory.clear()
-        assert all(ref() is None for ref in refs)
+        assert ref() is None
         del out
     finally:
         if was_enabled:
@@ -188,21 +224,34 @@ def test_config_and_input_validation():
         init_messages(code, [np.nan, 1, -1, 2, -2, 1, 1, -3])
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_iterations_reject_bools(flag):
+    # True is a numbers.Integral, and was taken as one iteration
+    with pytest.raises(ValueError, match=f"iterations must be an integer >= 1, got {flag!r}"):
+        ScanConfig(iterations=flag)
+
+
 @pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("decoder", [ScanDecoder, FastScanDecoder])
 def test_messages_are_frame_last_and_outputs_contiguous(rng, final_memory, decoder, single):
-    # Each node slice lam[t][:, lo:hi] is one contiguous block only while the
-    # (n+1, batch, N) arrays are views of C-ordered (n+1, N, batch) buffers.
+    # Every operand of every op is one contiguous block only while the buffer
+    # is (E, frames) in C order and the ops name row slices of it.
     code = build_code(64, 32)
     llrs = rng.normal(1.0, 2.0, size=64 if single else (5, 64))
     dec = decoder(code, ScanConfig(iterations=2))
     out = dec.decode(llrs)
     batch = 1 if single else 5
     mem, = final_memory
-    for arr in (mem.lam, mem.beta):
-        assert arr.shape == (code.n + 1, batch, code.N)
-        for t in range(code.n + 1):
-            assert arr[t].T.shape == (code.N, batch) and arr[t].T.flags.c_contiguous
+    assert mem.buffer.shape[1] == batch and mem.buffer.flags.c_contiguous
+    for view in (mem.channel, mem.leaf, mem.prior, mem.root):
+        assert view.shape == (batch, code.N) and view.T.flags.c_contiguous
+    arity = {scan._LEFT: 4, scan._RIGHT: 4, scan._FEEDBACK: 5, scan._LEAF: 2}
+    for op in dec._ops:
+        operands = [x for x in op[1:] if isinstance(x, slice)]
+        assert len(operands) == arity[op[0]]
+        for rows in operands:
+            block = mem.buffer[rows]
+            assert block.shape == (rows.stop - rows.start, batch) and block.flags.c_contiguous
     for field in ("leaf_extrinsic", "root_extrinsic", "u_hat", "x_hat"):
         value = getattr(out, field)
         assert value.shape == ((code.N,) if single else (batch, code.N))

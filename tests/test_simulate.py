@@ -108,6 +108,13 @@ def test_invalid_inputs():
         run_sim(code, spec, ChannelConfig(ebn0_db=(1.0,), seed=1), max_frames=64, chunk_frames=0)
 
 
+def test_frame_budget_rejects_bools():
+    # True is a numbers.Integral: max_frames=True decoded one frame
+    code = build_code(32, 16)
+    with pytest.raises(ValueError, match="max_frames must be an integer >= 1, got True"):
+        run_sim(code, DecoderSpec(kind="scan"), ChannelConfig(ebn0_db=(1.0,), seed=1), max_frames=True)
+
+
 def test_invalid_decoder_settings_fail_before_workers_start():
     # the spec is checked where it is made: raised in a pool initializer
     # instead, the pool respawned the failing worker forever
