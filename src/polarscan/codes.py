@@ -57,8 +57,8 @@ class PolarCode:
 def _check_dims(N: int, K: int) -> int:
     if not isinstance(N, numbers.Integral) or N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} must be a power of two >= 2")
-    if not 0 <= K <= N:
-        raise ValueError(f"K={K} out of range for N={N}")
+    if not isinstance(K, numbers.Integral) or isinstance(K, bool) or not 0 <= K <= N:
+        raise ValueError(f"K={K!r} must be an integer in [0, {N}]")
     return int(N).bit_length() - 1
 
 

@@ -1,10 +1,11 @@
 """Fast-SCAN: the SCAN executor (scan.py) over a pruned schedule.
 
 build_schedule turns each maximal subtree whose frozen pattern matches an
-enabled special node into a leaf. Every such leaf is an F^j I^(s-j) node;
-FastScanDecoder hands the leaves, each with its j, to scan._compile, whose
-program has one op per leaf that carries j and maps the node's current
-demand vector through kernels.stair straight to its feedback. Output
+enabled special node into a leaf, an F^j I^(s-j) node whose descriptor
+carries j. FastScanDecoder hands each leaf's (stage, index, d.j) to
+scan._compile, whose program maps a kernel leaf's demand through
+kernels.stair straight to its feedback in one op that carries j; a Rate0
+or Rate1 leaf reads its feedback from the prior (see scan.py). Output
 contract and iteration semantics match scan_decode; both decoders run the
 one decode body scan._decode, and in min-sum and exact arithmetic alike
 their outputs are bit-identical.
@@ -55,12 +56,15 @@ class FastScanDecoder:
         if self.schedule.code != code:
             raise ValueError(f"schedule was built for another frozen mask than the ({code.N},{code.K}) code's")
         self.leaf_extrinsic = leaf_extrinsic
-        mask = code.frozen_mask
-        self._ops, self._fills = _compile(code.n, tuple(
-            (d.stage, d.index, int(mask[d.offset:d.offset + d.size].sum())) for d in self.schedule.leaves()))
+        self._ops, self._fills, _ = _program(self.schedule)
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, self.leaf_extrinsic)
+
+
+def _program(schedule: DecodingSchedule) -> tuple:
+    """scan._compile's (ops, fills, cost) of the schedule's pruned tree."""
+    return _compile(schedule.code.n, tuple((d.stage, d.index, d.j) for d in schedule.leaves()))
 
 
 def fast_scan_decode(code: PolarCode, channel_llrs: np.ndarray,

@@ -4,7 +4,7 @@ Each kernel maps a node's demand vector lam (shape (..., s)) straight to
 its feedback beta, skipping the subtree traversal. Every special node has
 the frozen pattern F^j I^(s-j), and stair(lam, j, arithmetic) is the one
 entry for all of them: Rate0 (j == s) and Rate1 (j == 0) are constants,
-any other j runs <kind>_update for the kind schedule.classify gives the
+any other j runs <kind>_update for the kind schedule.stair_kind gives the
 pattern, looked up in this module at call time. One rule per level runs
 every kernel (_level). At half-size h, with lo, hi the halves of lam:
 
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import combiner, hard_sign, sat_add
-from .schedule import KERNEL_TYPES, NodeType, classify
+from .schedule import KERNEL_TYPES, NodeType, stair_kind
 
 
 def _checked(lam, kind, minimum):
@@ -50,7 +50,7 @@ def _checked(lam, kind, minimum):
 @lru_cache(maxsize=None)
 def _kernel_name(s: int, j: int) -> str:
     """Name of the F^j I^(s-j) node's kernel in this module."""
-    kind = classify(np.arange(s) < j, KERNEL_TYPES) if 0 <= j <= s else NodeType.INTERNAL
+    kind = stair_kind(s, j, KERNEL_TYPES)
     if kind is NodeType.INTERNAL:
         raise ValueError(f"F^{j} I^{s - j} is not a special node")
     return f"{kind.value}_update"

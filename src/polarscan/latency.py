@@ -1,24 +1,20 @@
 """Clock-cycle accounting for SCAN, fast-SCAN schedules, and product codes.
 
-The cost model charges message computation per tree edge and per kernel:
-descending into an internal node costs one demand pair (INTERNAL_EDGE = 4
-cycles), the demand into a kernel leaf costs KERNEL_LEAF_EDGE = 2, constant
-leaves (Rate0/Rate1 at stage >= 1) are free, every kernel evaluation costs
-KERNEL_COST = 2, and the root feedback costs ROOT_COST = 2. Stage-0 leaf
-edges cost LEAF_STAGE0_EDGE = 2, which makes an unpruned schedule cost
-exactly the flat-SCAN figure 6(N-1).
+A schedule's cost is read off the program scan._compile emits for it: 2
+cycles per op, charged to the node whose demand or feedback the op
+computes, plus ROOT_COST = 2 for the root feedback, which stands for an
+internal root's feedback op. The demand into a Rate0 or Rate1 leaf above
+stage 0 and a Rate0 leaf's +inf write are free too, and an unpruned
+schedule costs exactly the flat-SCAN figure 6(N-1).
 """
 
 from dataclasses import dataclass
 
 from .codes import _check_dims
+from .fastscan import _program
 from .scan import _check_count
-from .schedule import CONSTANT_TYPES, DEFAULT_TYPES, DecodingSchedule, NodeType, build_schedule
+from .schedule import DEFAULT_TYPES, DecodingSchedule, build_schedule
 
-INTERNAL_EDGE = 4
-LEAF_STAGE0_EDGE = 2
-KERNEL_LEAF_EDGE = 2
-KERNEL_COST = 2
 ROOT_COST = 2
 
 
@@ -37,28 +33,11 @@ def scan_latency(N: int) -> int:
 
 def schedule_latency(schedule: DecodingSchedule) -> LatencyReport:
     """Cycle count of one fast-SCAN iteration over a compiled schedule."""
-    breakdown = []
-    total = 0
-    for pos, d in enumerate(schedule.nodes):
-        cycles = 0
-        is_root = pos == 0
-        if d.kind is NodeType.INTERNAL:
-            cycles += 0 if is_root else INTERNAL_EDGE
-        elif d.kind in CONSTANT_TYPES:
-            if not is_root and d.stage == 0:
-                cycles += LEAF_STAGE0_EDGE
-        else:
-            cycles += 0 if is_root else KERNEL_LEAF_EDGE
-            cycles += KERNEL_COST
-        breakdown.append((d, cycles))
-        total += cycles
-    total += ROOT_COST
+    n, cost = schedule.code.n, _program(schedule)[2]
+    breakdown = [(d, 2 * int(cost[(1 << (n - d.stage)) + d.index])) for d in schedule.nodes]
     breakdown.append(("root", ROOT_COST))
-    return LatencyReport(
-        total_cycles=total,
-        per_node=tuple(breakdown),
-        gain_vs_scan=gain(scan_latency(schedule.code.N), total),
-    )
+    total = 2 * int(cost.sum()) + ROOT_COST
+    return LatencyReport(total, tuple(breakdown), gain(scan_latency(schedule.code.N), total))
 
 
 def gain(scan_cycles: int, fast_cycles: int) -> float:
@@ -76,9 +55,5 @@ def ppc_latency(row_cycles: int, col_cycles: int, half_iteration_pairs: int) -> 
 
 def latency_table(codes, enabled_types=DEFAULT_TYPES):
     """Rows of (label, scan_cycles, fast_cycles, gain_percent) for PolarCodes."""
-    rows = []
-    for code in codes:
-        fast = schedule_latency(build_schedule(code, enabled_types)).total_cycles
-        scan = scan_latency(code.N)
-        rows.append((f"({code.N},{code.K})", scan, fast, gain(scan, fast)))
-    return rows
+    reports = [(c, schedule_latency(build_schedule(c, enabled_types))) for c in codes]
+    return [(f"({c.N},{c.K})", scan_latency(c.N), r.total_cycles, r.gain_vs_scan) for c, r in reports]

@@ -11,11 +11,10 @@ memory. In a stage-n tree (N = 2^n) the rows are, in order:
     channel   N             clamped channel LLRs, the root's demand; never written
     internal  N             internal nodes' demands at SC offsets: stage t
                             (0 < t < n) at [2^t, 2^(t+1)); rows 0 and 1 unused
-    leaf      N             every leaf's demand at its own positions; leaves
-                            are stage-0 nodes and pruned kernel leaves, and
-                            they partition [0, N)
-    prior     N             stage-0 feedback: +inf (certainty) at frozen
-                            positions, 0 elsewhere; never written
+    leaf      N             every leaf's demand at its own positions; the
+                            leaves, stage-0 nodes and pruned ones, partition [0, N)
+    prior     N             +inf (certainty) at frozen positions, 0 elsewhere,
+                            constant leaves' feedback (see below); never written
     left      N             left children's feedback, stage t (0 < t < n) at
                             [2^t, 2^(t+1)); rows 0 and 1 unused
     right     (n-1) N/2     right children's feedback, N/2 rows per stage t
@@ -45,14 +44,23 @@ subtree writes neither a nor bl, so the feedback reuses the f(a, bl) of the
 right demand instead of computing it again. The decoder is batched: a frame
 axis is broadcast through every update.
 
+A constant leaf (Rate0 or Rate1, at stage 0 or pruned above it) feeds
+back its prior rows and runs no op; only a Rate0 right child or root keeps
+rows of its own, which read 0 until its first visit (a parent's left
+demand reads br first), and an op writing +inf.
+
 A decoding tree compiles once (_compile, cached) into a program: a flat
-tuple of ops in depth-first order and the leaf-fill groups. Each op names
-its operands as row slices of the buffer:
+tuple of ops in depth-first order, the leaf-fill groups and the cost of
+each node. Each op names its operands as row slices of the buffer:
 
     _LEFT      destination, a, b, br
     _RIGHT     destination, a, b, bl
     _FEEDBACK  own left half, own right half, b, bl, br
     _LEAF      feedback, demand, j   (a pruned F^j I^(s-j) leaf: kernels.stair)
+
+An op is charged to the node whose demand or feedback it computes; an
+internal root's feedback op, the demand into a constant leaf above stage 0
+and a Rate0 leaf's +inf write are free. latency.schedule_latency reads it.
 
 _run_ops executes one iteration in a plain loop; the f(a, bl) of each node
 whose right subtree is running waits on a stack, as the ops nest. SCAN is
@@ -168,22 +176,30 @@ _PROGRAMS = 32   # programs kept; the full n = 10 tree's takes about 1.0 MB
 
 @lru_cache(maxsize=_PROGRAMS)
 def _compile(n: int, leaves: tuple = ()) -> tuple:
-    """The program (ops, fills) of a stage-n decoding tree, from one walk.
+    """The program (ops, fills, cost) of a stage-n decoding tree, from one walk.
 
     leaves holds (stage, index, j) per pruned leaf, j the number of leading
     frozen positions of its F^j I^(s-j) pattern; () is the unpruned tree.
     Each op is a 6-tuple (kind, operands..., None padding), its operands row
-    slices of the buffer as listed in the module docstring. Stage-0 nodes
-    emit no op, as the prior never changes. fills holds, per (stage, j) in
-    order of first visit, (stage, positions, j): positions is a read-only
-    (leaves, 2^stage) array of leaf-region rows in visit order.
+    slices of the buffer as listed in the module docstring. fills holds, per
+    (stage, j) in order of first visit, (stage, positions, j): positions is
+    a read-only (leaves, 2^stage) array of leaf-region rows in visit order.
+    cost is a read-only int32 array of each node's charged ops, node (t, i)
+    at (1 << (n - t)) + i.
     """
     N = 1 << n
     pruned = {(t, i): j for t, i, j in leaves}
+    constant = {(t, i) for t, i, j in leaves if t and j in (0, 1 << t)}   # Rate0, Rate1 above stage 0
+    on_prior = constant - {(t, i) for t, i, j in leaves if j and (i % 2 or t == n)}   # but Rate0 right, root
     ops, groups, cuts = [], {}, {}
+    cost = [0] * (2 * N)
 
     def rows(lo, size):   # one slice per span, shared by every op that names it
         return cuts.setdefault((lo, size), slice(lo, lo + size))
+
+    def emit(op, t, i):   # op computes (t, i)'s demand or feedback; ROOT_COST prices the root's
+        ops.append(op)
+        cost[(1 << (n - t)) + i] += (t, i) not in constant and (op[0] != _FEEDBACK or t < n)
 
     def demand(t, i):
         if t == n:
@@ -193,10 +209,10 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
         return rows(N + (1 << t), 1 << t)
 
     def feedback(t, i):
+        if t == 0 or (t, i) in on_prior:
+            return rows(3 * N + (i << t), 1 << t)
         if t == n:
             return rows(_buffer_rows(n) - N, N)
-        if t == 0:
-            return rows(3 * N + i, 1)
         if i % 2 == 0:
             return rows(4 * N + (1 << t), 1 << t)
         return rows(5 * N + (t - 1) * N // 2 + (i >> 1 << t), 1 << t)
@@ -205,23 +221,25 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
         if t == 0:
             return
         if (t, i) in pruned:
-            ops.append((_LEAF, feedback(t, i), demand(t, i), pruned[t, i], None, None))
             groups.setdefault((t, pruned[t, i]), []).append(range(i << t, (i + 1) << t))
+            if (t, i) not in on_prior:
+                emit((_LEAF, feedback(t, i), demand(t, i), pruned[t, i], None, None), t, i)
             return
         h, own, fb = 1 << (t - 1), demand(t, i), feedback(t, i)
         a, b = rows(own.start, h), rows(own.start + h, h)
         bl, br = feedback(t - 1, 2 * i), feedback(t - 1, 2 * i + 1)
-        ops.append((_LEFT, demand(t - 1, 2 * i), a, b, br, None))
+        emit((_LEFT, demand(t - 1, 2 * i), a, b, br, None), t - 1, 2 * i)
         visit(t - 1, 2 * i)
-        ops.append((_RIGHT, demand(t - 1, 2 * i + 1), a, b, bl, None))
+        emit((_RIGHT, demand(t - 1, 2 * i + 1), a, b, bl, None), t - 1, 2 * i + 1)
         visit(t - 1, 2 * i + 1)
-        ops.append((_FEEDBACK, rows(fb.start, h), rows(fb.start + h, h), b, bl, br))
+        emit((_FEEDBACK, rows(fb.start, h), rows(fb.start + h, h), b, bl, br), t, i)
 
     visit(n, 0)
     fills = tuple((t, np.array(spans), j) for (t, j), spans in groups.items())
-    for _, positions, _ in fills:
-        positions.flags.writeable = False   # every decoder of the tree shares them
-    return tuple(ops), fills
+    cost = np.array(cost, dtype=np.int32)
+    for array in (cost, *(positions for _, positions, _ in fills)):
+        array.flags.writeable = False   # every decoder of the tree shares them
+    return tuple(ops), fills, cost
 
 
 def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig) -> None:
@@ -297,7 +315,7 @@ class ScanDecoder:
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        self._ops, self._fills = _compile(code.n)   # no fills: the executor writes every leaf demand
+        self._ops, self._fills, _ = _compile(code.n)   # no fills: the executor writes every leaf demand
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, True)

@@ -13,6 +13,8 @@ Patterns over a slice of size 2^t (F = frozen, I = information):
     TypeI   F...FII (size >= 4)       TypeIII FFI...I (size >= 4)
     TypeII  F...FIII (size >= 4)      TypeIV  FFFI...I (size >= 8)
 
+Every pattern is F^j I^(size-j), so a slice is a special node only if its
+j frozen positions lead, and stair_kind(size, j, enabled) then names it.
 Precedence: Rate0 > Rate1 > Rep > Spc > TypeI > TypeIII > TypeII > TypeIV.
 The size-4 slice FFII matches both TypeI and TypeIII; the two kernels
 produce identical feedback, so precedence cannot change decoder output.
@@ -20,6 +22,7 @@ Size-2 FI classifies as Rep (Spc matches too; kernels coincide).
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +53,7 @@ class NodeDescriptor:
     stage: int
     index: int
     kind: NodeType
+    j: int   # frozen positions in the node's span; a leaf's pattern is F^j I^(size-j)
 
     @property
     def size(self) -> int:
@@ -60,29 +64,31 @@ class NodeDescriptor:
         return self.index * self.size
 
 
+# (kind, least size, j of its pattern, counted from the end if negative), by precedence
+_STAIR_KINDS = ((NodeType.REP, 2, -1), (NodeType.SPC, 2, 1), (NodeType.TYPE_I, 4, -2),
+                (NodeType.TYPE_III, 4, 2), (NodeType.TYPE_II, 4, -3), (NodeType.TYPE_IV, 8, 3))
+
+
+def stair_kind(size: int, j: int, enabled_types: frozenset = DEFAULT_TYPES) -> NodeType:
+    """Kind of the F^j I^(size-j) node: Rate0 or Rate1 whatever is enabled,
+    else the first enabled kind whose pattern it is; Internal if none is or
+    j is outside [0, size]."""
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"slice length {size} is not a power of two")
+    if not 0 < j < size:
+        return NodeType.RATE0 if j == size else NodeType.RATE1 if j == 0 else NodeType.INTERNAL
+    for kind, least, lead in _STAIR_KINDS:
+        if size >= least and j == lead % size and kind in enabled_types:
+            return kind
+    return NodeType.INTERNAL
+
+
 def classify(frozen_slice: np.ndarray, enabled_types: frozenset = DEFAULT_TYPES) -> NodeType:
     """Pattern-match one frozen-mask slice; Internal if nothing enabled matches."""
     sl = np.asarray(frozen_slice, dtype=bool)
-    size = sl.size
-    if size < 1 or (size & (size - 1)) != 0:
-        raise ValueError(f"slice length {size} is not a power of two")
-    nfro = int(sl.sum())
-    if nfro == size:
-        return NodeType.RATE0
-    if nfro == 0:
-        return NodeType.RATE1
-    checks = (
-        (NodeType.REP, nfro == size - 1 and not sl[-1]),
-        (NodeType.SPC, nfro == 1 and sl[0]),
-        (NodeType.TYPE_I, size >= 4 and nfro == size - 2 and not sl[-1] and not sl[-2]),
-        (NodeType.TYPE_III, size >= 4 and nfro == 2 and sl[0] and sl[1]),
-        (NodeType.TYPE_II, size >= 4 and nfro == size - 3 and not sl[-1] and not sl[-2] and not sl[-3]),
-        (NodeType.TYPE_IV, size >= 8 and nfro == 3 and sl[0] and sl[1] and sl[2]),
-    )
-    for kind, hit in checks:
-        if hit and kind in enabled_types:
-            return kind
-    return NodeType.INTERNAL
+    j = int(sl.sum())
+    kind = stair_kind(sl.size, j, enabled_types)   # the kind, if the j frozen positions lead
+    return kind if kind is NodeType.INTERNAL or sl[:j].all() else NodeType.INTERNAL
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,12 @@ def build_schedule(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) ->
     """Compile the pruned decoding tree for a code's frozen mask."""
     enabled = _checked_types(enabled_types)
     mask = code.frozen_mask
-    nodes = []
+    nodes, frozen = [], [0, *np.cumsum(mask).tolist()]   # frozen positions before each index
 
     def rec(t, i):
-        size = 1 << t
-        kind = classify(mask[i * size:(i + 1) * size], enabled)   # stage 0 is Rate0 or Rate1
-        nodes.append(NodeDescriptor(stage=t, index=i, kind=kind))
+        lo, hi = i << t, (i + 1) << t
+        kind = classify(mask[lo:hi], enabled)   # stage 0 is Rate0 or Rate1
+        nodes.append(NodeDescriptor(stage=t, index=i, kind=kind, j=frozen[hi] - frozen[lo]))
         if kind is NodeType.INTERNAL:
             rec(t - 1, 2 * i)
             rec(t - 1, 2 * i + 1)
@@ -132,11 +138,7 @@ def build_schedule(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) ->
 
 def node_census(code: PolarCode, enabled_types: frozenset = DEFAULT_TYPES) -> dict:
     """Tally of schedule leaves: {(NodeType, size): count}."""
-    census: dict = {}
-    for d in build_schedule(code, enabled_types).leaves():
-        key = (d.kind, d.size)
-        census[key] = census.get(key, 0) + 1
-    return census
+    return dict(Counter((d.kind, d.size) for d in build_schedule(code, enabled_types).leaves()))
 
 
 def census_csv(census: dict) -> str:

@@ -175,6 +175,17 @@ def test_build_code_validation():
         build_code(8, 4, method="genie")
 
 
+@pytest.mark.parametrize("K", [True, False, 2.5, 4.0, "4", None])
+def test_build_code_rejects_a_k_that_is_not_an_integer(K):
+    with pytest.raises(ValueError, match=re.escape(f"K={K!r} must be an integer in [0, 8]")):
+        build_code(8, K)
+
+
+def test_build_code_accepts_numpy_integer_k():
+    assert build_code(8, np.int64(4)) == build_code(8, 4)
+    assert build_code(8, np.uint8(3)).K == 3
+
+
 def test_bhattacharyya_sanity():
     # last index is always the most reliable, index 0 the least
     for N in (8, 64, 512):

@@ -11,6 +11,7 @@ from polarscan import (
     DecoderSpec,
     FastScanDecoder,
     KERNEL_TYPES,
+    NodeType,
     ScanConfig,
     ScanDecoder,
     build_code,
@@ -187,6 +188,37 @@ def test_program_fills_are_the_kernel_leaves_and_shared(N, K, types):
     assert twin._ops is dec._ops and twin._fills is dec._fills
     full = ScanDecoder(code)
     assert full._fills == () and ScanDecoder(code)._ops is full._ops
+
+
+@pytest.mark.parametrize("code, count", [
+    (build_code(128, 64), 51), (build_code(1024, 512), 279),
+    (code_from_mask([False] * 4 + [True] * 4), 4), (code_from_mask([True] * 8), 1), (code_from_mask([False] * 8), 0),
+], ids=["128-64", "1024-512", "IIIIFFFF", "all-frozen", "all-info"])
+def test_constant_leaves_read_the_prior(monkeypatch, rng, code, count):
+    # A Rate0 or Rate1 leaf above stage 0 feeds back its prior rows and runs
+    # no op, but for a Rate0 right child or root: its rows must read 0 until
+    # its first visit. No op writes the channel or prior rows.
+    N = code.N
+    dec = FastScanDecoder(code, ScanConfig(iterations=2))
+    assert len(dec._ops) == count
+    for op in dec._ops:
+        for rows in op[1:3] if op[0] == scan._FEEDBACK else op[1:2]:
+            assert N <= rows.start and rows.stop <= 3 * N or 4 * N <= rows.start, op
+    constant = (NodeType.RATE0, NodeType.RATE1)
+    rate0_kept = [d for d in dec.schedule.leaves()
+                  if d.stage and d.kind is NodeType.RATE0 and (d.index % 2 or d.stage == code.n)]
+    kernel_leaves = [d for d in dec.schedule.leaves() if d.kind not in constant]
+    demand_rows = {(0, N) if d.stage == code.n else (2 * N + d.offset, 2 * N + d.offset + d.size)
+                   for d in rate0_kept + kernel_leaves}
+    assert {(op[2].start, op[2].stop) for op in dec._ops if op[0] == scan._LEAF} == demand_rows
+    calls = {"rate0_update": 0, "rate1_update": 0}
+    for name in calls:
+        def spy(shape, _name=name, _kernel=getattr(kernels, name)):
+            calls[_name] += 1
+            return _kernel(shape)
+        monkeypatch.setattr(kernels, name, spy)
+    dec.decode(rng.normal(size=(3, N)))
+    assert calls == {"rate0_update": 2 * len(rate0_kept), "rate1_update": 0}
 
 
 def _bits(x):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polarscan import (
     DEFAULT_TYPES,
     KERNEL_TYPES,
+    NodeType,
     build_code,
     build_schedule,
+    fastscan,
     gain,
     latency_table,
     ppc_latency,
@@ -15,9 +18,11 @@ from polarscan import (
     scan_latency,
     schedule_latency,
 )
+from polarscan.latency import ROOT_COST
 from polarscan.schedule import CONSTANT_TYPES
 
 from conftest import code_from_mask
+from test_properties import masks
 
 # (N, K) -> fast-SCAN cycles under the default cost model and node set.
 # Regression values computed from the per-node cost model; they pin the
@@ -114,3 +119,48 @@ def test_latency_table_rows():
     rows = latency_table([build_code(128, 16), build_code(256, 239)])
     assert rows[0] == ("(128,16)", 762, 50, 93.4)
     assert rows[1] == ("(256,239)", 1530, 58, 96.2)
+
+
+def per_kind_latency(schedule):
+    """(total_cycles, per_node) by the per-kind cost walk that schedule_latency
+    replaced: an internal node costs 4 cycles (0 at the root), a stage-0 leaf
+    2 (its demand), a Rate0 or Rate1 leaf above stage 0 nothing, a kernel
+    leaf 4 (2 at the root), and the root feedback 2."""
+    per_node = []
+    for pos, d in enumerate(schedule.nodes):
+        is_root = pos == 0
+        if d.kind is NodeType.INTERNAL:
+            cycles = 0 if is_root else 4
+        elif d.kind in CONSTANT_TYPES:
+            cycles = 2 if d.stage == 0 and not is_root else 0
+        else:
+            cycles = 2 if is_root else 4
+        per_node.append((d, cycles))
+    per_node.append(("root", 2))
+    return sum(c for _, c in per_node), tuple(per_node)
+
+
+def assert_matches_per_kind_walk(schedule):
+    report = schedule_latency(schedule)
+    assert (report.total_cycles, report.per_node) == per_kind_latency(schedule)
+    cost = fastscan._program(schedule)[2]
+    assert report.total_cycles == 2 * int(cost.sum()) + ROOT_COST
+
+
+F, I = True, False
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(masks(), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
+@example(np.array([I] * 4 + [F] * 4), DEFAULT_TYPES)   # Rate0 right child
+@example(np.array([F] * 8), DEFAULT_TYPES)             # Rate0 root
+@example(np.array([I] * 8), DEFAULT_TYPES)             # Rate1 root
+@example(build_code(8, 7).frozen_mask, DEFAULT_TYPES)   # Spc root
+def test_schedule_latency_counts_the_program_as_the_per_kind_walk_did(mask, types):
+    assert_matches_per_kind_walk(build_schedule(code_from_mask(mask), types))
+
+
+@pytest.mark.parametrize("types", [CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES], ids=["constant", "default", "all"])
+def test_model_table_codes_cost_as_the_per_kind_walk_did(types):
+    for N, K in MODEL_CYCLES:
+        assert_matches_per_kind_walk(build_schedule(build_code(N, K), types))

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import code_from_mask
 from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, kernels, scan
@@ -68,6 +68,20 @@ def cases(draw, values):
     return mask, draw(llr_batches(mask.size, values)), draw(st.integers(1, 3))
 
 
+EXAMPLE_LLRS = np.array([[0.5, -1.5, 2.0, -0.0, DEFAULT_SAT, -3.0, 0.0, 1e-300],
+                         [-2.0, 1.5, -DEFAULT_SAT, 0.25, -0.75, 4.0, -1e-300, 1.5]])
+
+
+def constant_leaf_examples(test):
+    """Pin where a Rate0 leaf above stage 0 may not read the constant prior:
+    IIIIFFFF's Rate0 right child feeds back 0 until its first visit, and an
+    all-frozen mask is one Rate0 root."""
+    iiiiffff, all_frozen = np.arange(8) >= 4, np.ones(8, dtype=bool)
+    for mask, iterations in ((iiiiffff, 1), (iiiiffff, 2), (all_frozen, 1)):
+        test = example((mask, EXAMPLE_LLRS, iterations), DEFAULT_TYPES)(test)
+    return test
+
+
 def assert_matches_oracle(out, mask, llrs, iterations):
     for j, frame in enumerate(llrs):
         ref = ref_scan(mask.tolist(), frame.tolist(), iterations=iterations)
@@ -79,6 +93,7 @@ def assert_matches_oracle(out, mask, llrs, iterations):
 
 @SETTINGS
 @given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
+@constant_leaf_examples
 def test_scan_and_fast_scan_match_oracle(case, types):
     mask, llrs, iterations = case
     code = code_from_mask(mask)
@@ -101,12 +116,14 @@ def assert_fast_scan_equals_scan(case, types, arithmetic):
 
 @SETTINGS
 @given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
+@constant_leaf_examples
 def test_fast_scan_equals_scan_in_exact_mode(case, types):
     assert_fast_scan_equals_scan(case, types, "exact")
 
 
 @SETTINGS
 @given(cases(LLR_VALUES), st.sampled_from([CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES]))
+@constant_leaf_examples
 def test_fast_scan_equals_scan_in_minsum_mode(case, types):
     assert_fast_scan_equals_scan(case, types, "minsum")
 

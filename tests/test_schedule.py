@@ -1,5 +1,6 @@
 """Frozen-mask classification and schedule compilation."""
 
+import itertools
 import json
 
 import pytest
@@ -48,6 +49,40 @@ def test_classify_precedence():
     assert classify([F, I, I, I], KERNEL_TYPES) is NodeType.SPC
     # TypeIV needs size >= 8
     assert classify([F, F, F, I], KERNEL_TYPES) is NodeType.REP
+
+
+def classify_by_position(sl, enabled_types):
+    """classify as a table of positional checks on the slice, as it was
+    written before it read F^j I^(size-j) off the slice: the reference the
+    brute-force test holds the rewrite to."""
+    size, nfro = len(sl), sum(sl)
+    if nfro == size:
+        return NodeType.RATE0
+    if nfro == 0:
+        return NodeType.RATE1
+    checks = (
+        (NodeType.REP, nfro == size - 1 and not sl[-1]),
+        (NodeType.SPC, nfro == 1 and sl[0]),
+        (NodeType.TYPE_I, size >= 4 and nfro == size - 2 and not sl[-1] and not sl[-2]),
+        (NodeType.TYPE_III, size >= 4 and nfro == 2 and sl[0] and sl[1]),
+        (NodeType.TYPE_II, size >= 4 and nfro == size - 3 and not sl[-1] and not sl[-2] and not sl[-3]),
+        (NodeType.TYPE_IV, size >= 8 and nfro == 3 and sl[0] and sl[1] and sl[2]),
+    )
+    for kind, hit in checks:
+        if hit and kind in enabled_types:
+            return kind
+    return NodeType.INTERNAL
+
+
+ONE_KIND = sorted(KERNEL_TYPES - CONSTANT_TYPES, key=lambda k: k.value)   # the least sizes show alone
+
+
+@pytest.mark.parametrize("types", [CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES] + [CONSTANT_TYPES | {k} for k in ONE_KIND],
+                         ids=["constant", "default", "all"] + [k.value for k in ONE_KIND])
+def test_classify_equals_the_positional_checks_on_every_slice_up_to_8(types):
+    for size in (1, 2, 4, 8):
+        for sl in itertools.product((F, I), repeat=size):
+            assert classify(sl, types) is classify_by_position(sl, types), sl
 
 
 def test_classify_bad_length():
