@@ -23,6 +23,14 @@ and an element-wise select on them runs as a data-dependent branch that
 the CPU cannot predict, several times slower than the arithmetic that
 replaces it. The one fix-up, exact box-plus of two infinities, runs only
 when its mask is not empty.
+
+Every function but clamp takes out=, an array of the operands' broadcast
+shape that receives the result and is returned, so a decoder op writes
+straight into its destination rows. Without out, the result is a fresh
+array (boxplus_minsum of 0-d operands: a numpy scalar). A call holds at
+most one float temporary of the result's size at a time, besides boolean
+masks. Aliasing: hard_sign and sat_add may write over an operand;
+box-plus may not, since it reads its operands again after writing out.
 """
 
 import numpy as np
@@ -35,46 +43,65 @@ def clamp(x):
     return np.asarray(x).clip(-DEFAULT_SAT, DEFAULT_SAT)
 
 
-def hard_sign(x):
-    """Sign with sign(0) = +1, returned as +-1.0 floats."""
-    s = np.asarray((np.asarray(x) < 0) * -2.0)   # 0-d stays an array
+def hard_sign(x, out=None):
+    """Sign with sign(0) = +1, returned as +-1.0 floats; out may be x itself."""
+    s = np.asarray(np.multiply(np.asarray(x) < 0, -2.0, out=out))   # 0-d stays an array
     s += 1.0
     return s
 
 
-def sat_add(a, b):
-    """LLR addition: IEEE addition, in which +inf absorbs every finite value."""
-    return np.asarray(np.add(a, b, dtype=float))   # 0-d stays an array
+def sat_add(a, b, out=None):
+    """LLR addition: IEEE addition, in which +inf absorbs every finite value.
+    out may be a or b itself."""
+    return np.asarray(np.add(a, b, out=out, dtype=float))   # 0-d stays an array
 
 
-def boxplus_minsum(a, b):
+def boxplus_minsum(a, b, out=None):
     """Min-sum check-node combination: sign(a)*sign(b)*min(|a|,|b|).
 
-    Needs no special case: min(|x|, inf) = |x| already makes +inf an
-    identity.
+    The sign factor is hard_sign(-d), d = 1.0 where (a < 0) != (b < 0) and
+    0.0 elsewhere. Needs no special case: min(|x|, inf) = |x| already makes
+    +inf an identity. out must not overlap a or b.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return hard_sign(a) * hard_sign(b) * np.minimum(np.abs(a), np.abs(b))
+    if out is None:
+        out = np.minimum(np.abs(a), np.abs(b))   # 0-d operands give a numpy scalar
+    else:
+        np.minimum(np.abs(a, out=out), np.abs(b), out=out)
+    flip = np.asarray(np.negative(np.not_equal(a < 0, b < 0), dtype=float))   # 0-d stays an array
+    out *= hard_sign(flip, out=flip)
+    return out
 
 
-def boxplus(a, b):
+def boxplus(a, b, out=None):
     """Exact check-node combination log((1 + e^(a+b)) / (e^a + e^b)).
 
     Evaluated in the numerically stable form
         sign(a)*sign(b)*min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
-    whose correction terms vanish when one operand is infinite. Where both
-    are, a - b is NaN, so the min-sum term is returned there.
+    left to right, whose correction terms vanish when one operand is
+    infinite. Where both are, a - b is NaN, so the min-sum term, there a*b,
+    is returned. out must not overlap a or b.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    core = boxplus_minsum(a, b)
+    out = np.asarray(boxplus_minsum(a, b, out=out))   # 0-d stays an array
+    both = np.isinf(out)   # min(|a|, |b|) is infinite where both operands are
+    t = np.asarray(np.add(a, b))
     with np.errstate(invalid="ignore"):
-        out = np.asarray(core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b))))
-    both = np.isinf(a) & np.isinf(b)
-    if both.any():
-        out = np.where(both, core, out)
+        out += _log1p_exp_minus_abs(t)
+        out -= _log1p_exp_minus_abs(np.subtract(a, b, out=t))
+    if np.count_nonzero(both):
+        np.multiply(a, b, out=out, where=both)
     return out
+
+
+def _log1p_exp_minus_abs(t):
+    """log1p(e^-|t|), computed over t in place."""
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    return np.log1p(t, out=t)
 
 
 def combiner(arithmetic):

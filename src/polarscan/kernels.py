@@ -22,7 +22,10 @@ subtree recursion. In min-sum and exact arithmetic alike a kernel thus
 equals one SCAN iteration over its pattern in value; only the sign of a
 zero can differ. Min-sum SPC takes the two-smallest-magnitudes form
 instead of its fold: min-sum copies magnitudes, so any order gives the
-same values, and the direct form is faster.
+same values, and the direct form is faster. It works along the rows of
+the frames-last block (the executor hands kernels (frames, s) views of
+(s, frames) rows), so each reduction runs over contiguous frames; each
+level writes both halves of its result into one array of lam's layout.
 
 Every kernel takes (lam, arithmetic), accepts a batch axis and is
 stateless; Rep and TypeI only add. stair_demands runs the same level
@@ -72,11 +75,16 @@ def _level(lam, j, arithmetic):
     j < h."""
     h = lam.shape[-1] // 2
     lo, hi = lam[..., :h], lam[..., h:]
+    beta = np.empty_like(lam)   # lam's memory layout: frames last stays frames last
     if j == h:
-        return np.concatenate([hi, lo], axis=-1)
+        beta[..., :h] = hi
+        beta[..., h:] = lo
+        return beta
     g = sat_add if j > h else combiner(arithmetic)
     folded = stair(g(lo, hi), j - h if j > h else j, arithmetic)
-    return np.concatenate([g(hi, folded), g(lo, folded)], axis=-1)
+    g(hi, folded, out=beta[..., :h])
+    g(lo, folded, out=beta[..., h:])
+    return beta
 
 
 def stair_demands(lam, prev, j, arithmetic):
@@ -161,21 +169,25 @@ def rate1_update(shape) -> np.ndarray:
 
 
 def _spc_minsum(lam):
-    """Two-smallest-magnitudes form; k0/k1 pick the lowest index on ties."""
-    absl = np.abs(lam)
-    k0 = np.argmin(absl, axis=-1)
-    m0 = np.take_along_axis(absl, k0[..., None], axis=-1)
-    masked = absl.copy()
-    np.put_along_axis(masked, k0[..., None], np.inf, axis=-1)
-    k1 = np.argmin(masked, axis=-1)
-    m1 = np.take_along_axis(absl, k1[..., None], axis=-1)
-    neg = lam < 0
-    parity = np.logical_xor.reduce(neg, axis=-1, keepdims=True)
-    signs = np.logical_xor(parity, neg) * -2.0
-    signs += 1.0
-    beta = signs * m0
-    np.put_along_axis(beta, k0[..., None], np.take_along_axis(signs, k0[..., None], axis=-1) * m1, axis=-1)
-    return beta
+    """Two-smallest-magnitudes form, reduced along the first axis of lam.T,
+    (s, ..., frames) in memory: the rows of the frames-last block for the
+    executor's leaves and fill stacks. Every position gets the least
+    magnitude of the others: m0, the least of all, but at a minimum m1, the
+    least after masking every minimum, or m0 again where the minimum ties."""
+    x = lam.T
+    absl = np.abs(x)
+    m0 = absl.min(axis=0, keepdims=True)
+    at_min = absl == m0
+    np.copyto(absl, np.inf, where=at_min)
+    m1 = absl.min(axis=0, keepdims=True)
+    np.copyto(m1, m0, where=np.count_nonzero(at_min, axis=0, keepdims=True) > 1)
+    neg = x < 0
+    beta = np.logical_xor(np.logical_xor.reduce(neg, axis=0, keepdims=True), neg) * -2.0
+    beta += 1.0
+    np.copyto(absl, m0)
+    np.copyto(absl, m1, where=at_min)
+    beta *= absl
+    return beta.T
 
 
 def spc_update(lam, arithmetic="minsum") -> np.ndarray:

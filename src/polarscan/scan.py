@@ -41,8 +41,11 @@ children's feedback:
 
 where f is box-plus (exact or min-sum) and + is IEEE addition. The right
 subtree writes neither a nor bl, so the feedback reuses the f(a, bl) of the
-right demand instead of computing it again. The decoder is batched: a frame
-axis is broadcast through every update.
+right demand instead of computing it again. It waits in the node's own
+right-half feedback rows, where the feedback op adds br to it: nothing
+reads those rows while the right subtree runs, and the parent's left
+demand, their one reader across iterations, ran before this node's visit. The decoder is batched: a frame axis is
+broadcast through every update.
 
 A constant leaf (Rate0 or Rate1, at stage 0 or pruned above it) feeds
 back its prior rows and runs no op; only a Rate0 right child or root keeps
@@ -54,7 +57,7 @@ tuple of ops in depth-first order, the leaf-fill groups and the cost of
 each node. Each op names its operands as row slices of the buffer:
 
     _LEFT      destination, a, b, br
-    _RIGHT     destination, a, b, bl
+    _RIGHT     destination, a, b, bl, own right half (receives f(a, bl))
     _FEEDBACK  own left half, own right half, b, bl, br
     _LEAF      feedback, demand, j   (a pruned F^j I^(s-j) leaf: kernels.stair)
 
@@ -62,11 +65,13 @@ An op is charged to the node whose demand or feedback it computes; an
 internal root's feedback op, the demand into a constant leaf above stage 0
 and a Rate0 leaf's +inf write are free. latency.schedule_latency reads it.
 
-_run_ops executes one iteration in a plain loop; the f(a, bl) of each node
-whose right subtree is running waits on a stack, as the ops nest. SCAN is
-this executor over the unpruned tree, fast-SCAN (fastscan.py) over a pruned
-schedule. Both decoders share one decode body, _decode, which runs the
-executor once per iteration. A kernel leaf's row of the leaf region holds
+_run_ops executes one iteration in a plain loop, with no stack: every
+internal-node op writes its result with out= straight into its destination
+rows, and b + br goes to rows of one (N/2, frames) scratch block that each
+decode allocates once. A kernel leaf's feedback is copied in from the
+kernel's result. SCAN is this executor over the unpruned tree, fast-SCAN
+(fastscan.py) over a pruned schedule. Both decoders share one decode body,
+_decode, which runs the executor once per iteration. A kernel leaf's row of the leaf region holds
 its demand, not its stage-0 demands; with leaf extrinsics on, _decode turns
 it into them after the last iteration, group by group, from each leaf's
 final demand and the one before it.
@@ -230,7 +235,7 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
         bl, br = feedback(t - 1, 2 * i), feedback(t - 1, 2 * i + 1)
         emit((_LEFT, demand(t - 1, 2 * i), a, b, br, None), t - 1, 2 * i)
         visit(t - 1, 2 * i)
-        emit((_RIGHT, demand(t - 1, 2 * i + 1), a, b, bl, None), t - 1, 2 * i + 1)
+        emit((_RIGHT, demand(t - 1, 2 * i + 1), a, b, bl, rows(fb.start + h, h)), t - 1, 2 * i + 1)
         visit(t - 1, 2 * i + 1)
         emit((_FEEDBACK, rows(fb.start, h), rows(fb.start + h, h), b, bl, br), t, i)
 
@@ -242,21 +247,18 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
     return tuple(ops), fills, cost
 
 
-def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig) -> None:
-    """One decoding iteration."""
+def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, scratch: np.ndarray) -> None:
+    """One decoding iteration; scratch is an (N/2, frames) block for b + br."""
     buf, arithmetic = mem.buffer, cfg.arithmetic
     f = combiner(arithmetic)
-    pending = []   # f(a, bl) of each node whose right subtree is running
     for op, p, q, r, s, u in ops:
         if op == _LEFT:        # destination, a, b, br
-            buf[p] = f(buf[q], sat_add(buf[r], buf[s]))
-        elif op == _RIGHT:     # destination, a, b, bl
-            fab = f(buf[q], buf[s])
-            pending.append(fab)
-            buf[p] = sat_add(fab, buf[r])
+            f(buf[q], sat_add(buf[r], buf[s], out=scratch[:p.stop - p.start]), out=buf[p])
+        elif op == _RIGHT:     # destination, a, b, bl, own right half
+            sat_add(f(buf[q], buf[s], out=buf[u]), buf[r], out=buf[p])
         elif op == _FEEDBACK:  # own halves, b, bl, br
-            buf[p] = f(buf[s], sat_add(buf[r], buf[u]))
-            buf[q] = sat_add(buf[u], pending.pop())
+            f(buf[s], sat_add(buf[r], buf[u], out=scratch[:q.start - p.start]), out=buf[p])
+            sat_add(buf[q], buf[u], out=buf[q])
         else:                  # kernel leaf: feedback, demand, j
             buf[p] = stair(buf[q].T, r, arithmetic).T
 
@@ -298,10 +300,12 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     # a pruned root is the one leaf whose demand is the channel, not the leaf region
     demand = mem.channel.T if fills and fills[0][0] == dec.code.n else leaf
     prev = [None] * len(fills)
+    scratch = np.empty((dec.code.N >> 1, mem.buffer.shape[1]))
     for k in range(cfg.iterations):
         if k and k == cfg.iterations - 1:
             prev = [demand[span].swapaxes(-1, -2) for _, span, _ in fills]
-        _run_ops(dec._ops, mem, cfg)
+        _run_ops(dec._ops, mem, cfg, scratch)
+    del scratch   # freed before the fill and finalize, whose temporaries set the decode's peak
     for (t, span, j), p in zip(fills, prev):
         lam = demand[span]   # (leaves, 2^t, frames), frames last like mem
         stair_demands(lam.swapaxes(-1, -2), p, j, cfg.arithmetic)

@@ -128,8 +128,9 @@ def _estimate(build_runner, runner_args, result: SimResult, ebn0_points, seed: i
     if workers > 1:
         import multiprocessing as mp
 
-        pool = mp.get_context().Pool(workers, initializer=_init_worker,
-                                     initargs=(build_runner, runner_args))
+        # spawn: a forked child would inherit the state of the caller's threads
+        pool = mp.get_context("spawn").Pool(workers, initializer=_init_worker,
+                                            initargs=(build_runner, runner_args))
         map_wave = functools.partial(pool.map, _run_chunk)
     else:
         map_wave = functools.partial(itertools.starmap, build_runner(*runner_args))

@@ -154,6 +154,18 @@ def test_bit_patterns_match_elementwise_reference():
             w = _bits(ref(float(x), float(y)))
             assert _bits(fn(float(x), float(y))) == w          # Python floats
             assert _bits(fn(np.array(x), np.array(y))) == w    # 0-d arrays
+        # out=: broadcast, full and transposed operands into a fresh out in C
+        # and transposed layouts; the call returns out, holding the out=None bits
+        for x, y in ((col, row), full, (full[0].T, full[1].T)):
+            plain = fn(x, y)
+            for out in (np.empty(plain.shape), np.empty(plain.shape[::-1]).T):
+                assert fn(x, y, out=out) is out
+                np.testing.assert_array_equal(_bits(out), _bits(plain))
+    # sat_add may write over its first operand, as the executor's feedback op does
+    x, y = (np.ascontiguousarray(v) for v in np.broadcast_arrays(col, row))
+    plain = sat_add(x, y)
+    assert sat_add(x, y, out=x) is x
+    np.testing.assert_array_equal(_bits(x), _bits(plain))
     # clamp and hard_sign (-0.0 -> +1.0): a column, a row, C and F operands,
     # Python floats and 0-d arrays
     for fn, ref in ((clamp, _ref_clamp), (hard_sign, _sign)):
@@ -163,6 +175,13 @@ def test_bit_patterns_match_elementwise_reference():
             got = fn(x)
             assert got.dtype == np.float64 and got.shape == w.shape
             np.testing.assert_array_equal(_bits(got), _bits(w))
+            if fn is hard_sign:   # out= in C and transposed layouts, and over x itself
+                for out in (np.empty(w.shape), np.empty(w.shape[::-1]).T):
+                    assert hard_sign(x, out=out) is out
+                    np.testing.assert_array_equal(_bits(out), _bits(w))
+                own = np.array(np.broadcast_to(x, w.shape))
+                assert hard_sign(own, out=own) is own
+                np.testing.assert_array_equal(_bits(own), _bits(w))
         for x in BIT_GRID:
             assert _bits(fn(float(x))) == _bits(ref(float(x)))
             assert _bits(fn(np.array(x))) == _bits(ref(float(x)))
@@ -206,4 +225,17 @@ def test_large_arrays_match_elementwise_reference():
             got = fn(a, b)
             assert got.dtype == np.float64 and got.shape == shape
             np.testing.assert_array_equal(_bits(got), _bits(ref(a, b)))
+            for out in (np.empty(shape), np.empty(shape[::-1]).T):   # C, and frames last
+                assert fn(a, b, out=out) is out
+                np.testing.assert_array_equal(_bits(out), _bits(got))
         np.testing.assert_array_equal(_bits(hard_sign(a)), _bits(sign_ref(a)))
+        sign = sign_ref(a)
+        for out in (np.empty(shape), np.empty(shape[::-1]).T):
+            assert hard_sign(a, out=out) is out
+            np.testing.assert_array_equal(_bits(out), _bits(sign))
+        own = a.copy()
+        assert hard_sign(own, out=own) is own
+        np.testing.assert_array_equal(_bits(own), _bits(sign))
+        own = a.copy()   # sat_add over its first operand, as the executor's feedback op runs it
+        assert sat_add(own, b, out=own) is own
+        np.testing.assert_array_equal(_bits(own), _bits(sat_add(a, b)))

@@ -202,7 +202,8 @@ def test_constant_leaves_read_the_prior(monkeypatch, rng, code, count):
     dec = FastScanDecoder(code, ScanConfig(iterations=2))
     assert len(dec._ops) == count
     for op in dec._ops:
-        for rows in op[1:3] if op[0] == scan._FEEDBACK else op[1:2]:
+        written = {scan._FEEDBACK: op[1:3], scan._RIGHT: (op[1], op[5])}.get(op[0], op[1:2])
+        for rows in written:
             assert N <= rows.start and rows.stop <= 3 * N or 4 * N <= rows.start, op
     constant = (NodeType.RATE0, NodeType.RATE1)
     rate0_kept = [d for d in dec.schedule.leaves()

@@ -81,6 +81,44 @@ def test_spc_magnitude_profile(rng):
         np.testing.assert_allclose(others, m0)
 
 
+def _spc_minsum_reference(lam):
+    """The take_along_axis form along the last axis, which kernels._spc_minsum
+    replaced; k0/k1 pick the lowest index on ties."""
+    absl = np.abs(lam)
+    k0 = np.argmin(absl, axis=-1)
+    m0 = np.take_along_axis(absl, k0[..., None], axis=-1)
+    masked = absl.copy()
+    np.put_along_axis(masked, k0[..., None], np.inf, axis=-1)
+    k1 = np.argmin(masked, axis=-1)
+    m1 = np.take_along_axis(absl, k1[..., None], axis=-1)
+    neg = lam < 0
+    parity = np.logical_xor.reduce(neg, axis=-1, keepdims=True)
+    signs = np.logical_xor(parity, neg) * -2.0
+    signs += 1.0
+    beta = signs * m0
+    np.put_along_axis(beta, k0[..., None], np.take_along_axis(signs, k0[..., None], axis=-1) * m1, axis=-1)
+    return beta
+
+
+def test_spc_minsum_matches_the_reference_bit_for_bit(rng):
+    # frames-last (frames, s) views and (leaves, frames, s) stacks, as the
+    # executor and the leaf fill pass them, and plain C arrays; magnitudes
+    # from a short list, so minima tie, with +-0.0 and +-SAT among them
+    pool = np.array([0.0, -0.0, SAT, -SAT, 1.0, -1.0, 2.5, -2.5, 1e-300])
+    frames = 12
+    for s in range(2, 65):
+        block = rng.normal(0.0, 3.0, (3, s, frames))
+        pick = rng.random(block.shape) < 0.5
+        block[pick] = rng.choice(pool, int(pick.sum()))
+        block[0, :, 0] = 2.5          # every magnitude ties
+        block[0, :2, 1] = [-0.0, 0.0]  # two zero minima of either sign
+        block[0, :, 2] = -SAT
+        for lam in (block[0].T, block.swapaxes(-1, -2), np.ascontiguousarray(block[1].T), block[2, :, 3]):
+            got = kernels._spc_minsum(lam)
+            assert got.shape == lam.shape
+            np.testing.assert_array_equal(got.view(np.int64), _spc_minsum_reference(lam).view(np.int64))
+
+
 def test_spc_forced_hand_value():
     np.testing.assert_array_equal(
         spc_update_forced(np.array([-1.0, 2, 3, 4])), [2, 1, 1, 1]

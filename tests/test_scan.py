@@ -74,6 +74,29 @@ def test_decode_peak_memory_is_below_the_full_grid():
     assert peak < 0.75 * 2 * 11 * 1024 * 64 * 8
 
 
+@pytest.mark.parametrize("arithmetic", ["minsum", "exact"])
+@pytest.mark.parametrize("decoder", [ScanDecoder, FastScanDecoder])
+def test_an_iteration_allocates_at_most_three_half_blocks(decoder, arithmetic):
+    # Every op writes into its destination rows; b + br goes to one (N/2,
+    # frames) scratch block, made here as a decode makes it. Beyond the
+    # message buffer, an iteration holds at most three such blocks at once:
+    # scratch, one float temporary and boolean masks.
+    code = build_code(1024, 512)
+    frames = 64
+    cfg = ScanConfig(iterations=2, arithmetic=arithmetic)
+    dec = decoder(code, cfg)
+    mem = init_messages(code, np.random.default_rng(5).normal(1.0, 2.0, size=(frames, code.N)))
+    scan._run_ops(dec._ops, mem, cfg, np.empty((code.N // 2, frames)))   # the first iteration, unmeasured
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scan._run_ops(dec._ops, mem, cfg, np.empty((code.N // 2, frames)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (code.N // 2 * frames * 8)
+
+
 def test_size2_example():
     # F={0}, llrs=[-1,4]: feedback [4,-1], a-posteriori [3,3] -> bits [0,0]
     code = build_code(2, 1)
@@ -245,7 +268,7 @@ def test_messages_are_frame_last_and_outputs_contiguous(rng, final_memory, decod
     assert mem.buffer.shape[1] == batch and mem.buffer.flags.c_contiguous
     for view in (mem.channel, mem.leaf, mem.prior, mem.root):
         assert view.shape == (batch, code.N) and view.T.flags.c_contiguous
-    arity = {scan._LEFT: 4, scan._RIGHT: 4, scan._FEEDBACK: 5, scan._LEAF: 2}
+    arity = {scan._LEFT: 4, scan._RIGHT: 5, scan._FEEDBACK: 5, scan._LEAF: 2}
     for op in dec._ops:
         operands = [x for x in op[1:] if isinstance(x, slice)]
         assert len(operands) == arity[op[0]]
