@@ -34,8 +34,27 @@ def _add_decoder_args(p):
     p.add_argument("--decoder", default="scan", choices=["sc", "scan", "fast_scan"])
     p.add_argument("--iters", type=int, default=1, help="soft decoding iterations")
     p.add_argument("--arith", default="minsum", choices=["exact", "minsum"])
+    _add_node_types(p)
+
+
+def _add_node_types(p):
     p.add_argument("--node-types", default="default",
                    help="'default', 'all', or comma list, e.g. rep,spc,type1,type3")
+
+
+def _add_latency_args(p):
+    p.add_argument("--codes", default=None, help="comma list of N:K pairs, e.g. 128:64,256:128")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--k", type=int, default=None)
+    _add_node_types(p)
+    p.add_argument("--format", default="text", choices=["text", "csv"])
+
+
+def _add_ppc_args(p):
+    p.add_argument("--decoder", default="fast_scan", choices=["scan", "fast_scan"])
+    p.add_argument("--iters", type=int, default=1, help="inner SCAN iterations per half")
+    p.add_argument("--arith", default="minsum", choices=["exact", "minsum"])
+    p.add_argument("--pairs", type=int, default=8, help="row+column half-iteration pairs")
 
 
 def _add_sim_args(p):
@@ -174,63 +193,27 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Polar code soft decoding toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="print frozen set as JSON")
-    _add_code_args(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_construct)
+    def command(name, func, summary, *adders):
+        """Register a subcommand: the arguments of each adder in turn, then --out."""
+        p = sub.add_parser(name, help=summary)
+        for add in adders:
+            add(p)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("encode", help="encode K info bits")
-    _add_code_args(p)
-    p.add_argument("--info", required=True, help="comma/space separated info bits")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("decode", help="decode N channel LLRs")
-    _add_code_args(p)
-    _add_decoder_args(p)
-    p.add_argument("--llrs", default=None, help="comma/space separated channel LLRs")
-    p.add_argument("--llr-file", default=None, help="file with channel LLRs")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("latency", help="SCAN vs fast-SCAN cycle counts")
-    p.add_argument("--codes", default=None, help="comma list of N:K pairs, e.g. 128:64,256:128")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--node-types", default="default")
-    p.add_argument("--format", default="text", choices=["text", "csv"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_latency)
-
-    p = sub.add_parser("census", help="special-node tally as CSV")
-    _add_code_args(p)
-    p.add_argument("--node-types", default="default")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("schedule", help="pruned decoding tree as JSON")
-    _add_code_args(p)
-    p.add_argument("--node-types", default="default")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_schedule)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo BLER/BER, CSV output")
-    _add_code_args(p)
-    _add_decoder_args(p)
-    _add_sim_args(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("ppc-simulate", help="square product code BLER/BER, CSV output")
-    _add_code_args(p)
-    p.add_argument("--decoder", default="fast_scan", choices=["scan", "fast_scan"])
-    p.add_argument("--iters", type=int, default=1, help="inner SCAN iterations per half")
-    p.add_argument("--arith", default="minsum", choices=["exact", "minsum"])
-    p.add_argument("--pairs", type=int, default=8, help="row+column half-iteration pairs")
-    _add_sim_args(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ppc_simulate)
-
+    command("construct", _cmd_construct, "print frozen set as JSON", _add_code_args)
+    command("encode", _cmd_encode, "encode K info bits", _add_code_args,
+            lambda p: p.add_argument("--info", required=True, help="comma/space separated info bits"))
+    command("decode", _cmd_decode, "decode N channel LLRs", _add_code_args, _add_decoder_args,
+            lambda p: p.add_argument("--llrs", default=None, help="comma/space separated channel LLRs"),
+            lambda p: p.add_argument("--llr-file", default=None, help="file with channel LLRs"))
+    command("latency", _cmd_latency, "SCAN vs fast-SCAN cycle counts", _add_latency_args)
+    command("census", _cmd_census, "special-node tally as CSV", _add_code_args, _add_node_types)
+    command("schedule", _cmd_schedule, "pruned decoding tree as JSON", _add_code_args, _add_node_types)
+    command("simulate", _cmd_simulate, "Monte-Carlo BLER/BER, CSV output",
+            _add_code_args, _add_decoder_args, _add_sim_args)
+    command("ppc-simulate", _cmd_ppc_simulate, "square product code BLER/BER, CSV output",
+            _add_code_args, _add_ppc_args, _add_sim_args)
     return ap
 
 

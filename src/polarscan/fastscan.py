@@ -85,7 +85,7 @@ class DecoderSpec:
     def __post_init__(self):
         if self.kind not in ("sc", "scan", "fast_scan"):
             raise ValueError(f"unknown decoder kind {self.kind!r}")
-        # checked here, not first in a pool initializer, which would respawn forever
+        # checked where the spec is made, so a bad one fails before any worker starts
         ScanConfig(iterations=self.iterations, arithmetic=self.arithmetic)
         _checked_types(self.node_types)
 

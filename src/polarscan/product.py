@@ -48,7 +48,7 @@ class ProductPolarCode:
         return self.K / self.N
 
 
-@dataclass
+@dataclass(frozen=True)
 class PpcConfig:
     half_iteration_pairs: int = 8
     inner_scan_iterations: int = 1
@@ -58,6 +58,13 @@ class PpcConfig:
         _check_count("half_iteration_pairs", self.half_iteration_pairs)
         _check_count("inner_scan_iterations", self.inner_scan_iterations)
         combiner(self.arithmetic)
+
+
+def _component_spec(cfg: PpcConfig, decoder: str) -> DecoderSpec:
+    """The row and column decoders' spec; raises ValueError for a decoder that cannot run."""
+    if decoder == "sc":
+        raise ValueError("component decoders exchange soft output; 'sc' has none")
+    return DecoderSpec(decoder, cfg.inner_scan_iterations, cfg.arithmetic)
 
 
 @dataclass
@@ -101,10 +108,7 @@ def ppc_decode(ppc: ProductPolarCode, channel_llr_matrix: np.ndarray,
     if nan.size:
         raise ValueError(f"channel LLR is NaN at (frame, row, column) {tuple(nan[0].tolist())}")
     B, N_c, N_r = llrs.shape
-    if decoder == "sc":
-        raise ValueError("component decoders exchange soft output; 'sc' has none")
-
-    spec = DecoderSpec(decoder, cfg.inner_scan_iterations, cfg.arithmetic)
+    spec = _component_spec(cfg, decoder)
     row_dec = spec.build(ppc.row_code)
     col_dec = row_dec if ppc.col_code == ppc.row_code else spec.build(ppc.col_code)
 

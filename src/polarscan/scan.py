@@ -95,7 +95,7 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanConfig:
     iterations: int = 1
     arithmetic: str = "minsum"   # 'exact' or 'minsum'

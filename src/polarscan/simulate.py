@@ -6,6 +6,9 @@ any worker count produces the same frames. Stopping (enough block errors
 or the frame budget) is decided by scanning chunk results in index order;
 chunks past the stopping index are discarded even if a worker already
 computed them. The resulting CSV is byte-identical for 1 or many workers.
+A chunk is a self-contained job that builds its own decoder: any worker
+can run any chunk, no worker holds state between chunks, and serial and
+pooled runs call the same job through starmap.
 """
 
 import csv
@@ -21,7 +24,7 @@ import numpy as np
 from .channel import channel_llrs, modulate, noise_sigma
 from .codes import PolarCode, encode, extract_info, insert_info
 from .fastscan import DecoderSpec
-from .product import PpcConfig, ProductPolarCode, ppc_decode, ppc_encode
+from .product import PpcConfig, ProductPolarCode, _component_spec, ppc_decode, ppc_encode
 from .scan import _check_count
 
 CHUNK_FRAMES = 256
@@ -67,42 +70,28 @@ class SimResult:
         return buf.getvalue()
 
 
-def _runner(rate: float, info_shape: tuple, encode_info, decode_info):
-    """Chunk runner: seeded info bits, encode_info, BPSK over AWGN, then
+def _chunk(rate: float, info_shape: tuple, encode_info, decode_info,
+           point_idx, chunk_idx, ebn0_db, seed, frames):
+    """One chunk: seeded info bits, encode_info, BPSK over AWGN, then
     decode_info from channel LLRs back to info bits, scored per frame."""
-    def run(point_idx, chunk_idx, ebn0_db, seed, frames):
-        rng = np.random.default_rng([seed, point_idx, chunk_idx])
-        info = rng.integers(0, 2, size=(frames,) + info_shape, dtype=np.uint8)
-        x = encode_info(info)
-        sigma = noise_sigma(ebn0_db, rate)
-        y = modulate(x) + sigma * rng.standard_normal(x.shape)
-        bit_err = decode_info(channel_llrs(y, sigma)) != info
-        return frames, int(np.any(bit_err.reshape(frames, -1), axis=1).sum()), int(bit_err.sum())
-
-    return run
+    rng = np.random.default_rng([seed, point_idx, chunk_idx])
+    info = rng.integers(0, 2, size=(frames,) + info_shape, dtype=np.uint8)
+    x = encode_info(info)
+    sigma = noise_sigma(ebn0_db, rate)
+    y = modulate(x) + sigma * rng.standard_normal(x.shape)
+    bit_err = decode_info(channel_llrs(y, sigma)) != info
+    return frames, int(np.any(bit_err.reshape(frames, -1), axis=1).sum()), int(bit_err.sum())
 
 
-def _polar_runner(code: PolarCode, spec: DecoderSpec):
+def _polar_chunk(code: PolarCode, spec: DecoderSpec, *task):
     decoder = spec.build(code)
-    return _runner(code.rate, (code.K,), lambda info: encode(code, insert_info(code, info)),
-                   lambda llrs: extract_info(code, decoder(llrs).u_hat))
+    return _chunk(code.rate, (code.K,), lambda info: encode(code, insert_info(code, info)),
+                  lambda llrs: extract_info(code, decoder(llrs).u_hat), *task)
 
 
-def _ppc_runner(ppc: ProductPolarCode, cfg: PpcConfig, decoder: str):
-    return _runner(ppc.rate, ppc.info_shape, lambda info: ppc_encode(ppc, info),
-                   lambda llrs: ppc_decode(ppc, llrs, cfg, decoder=decoder).info_hat)
-
-
-# per-process runner installed by the pool initializer
-_worker_state: dict = {}
-
-
-def _init_worker(build_runner, args):
-    _worker_state["run"] = build_runner(*args)
-
-
-def _run_chunk(task):
-    return _worker_state["run"](*task)
+def _ppc_chunk(ppc: ProductPolarCode, cfg: PpcConfig, decoder: str, *task):
+    return _chunk(ppc.rate, ppc.info_shape, lambda info: ppc_encode(ppc, info),
+                  lambda llrs: ppc_decode(ppc, llrs, cfg, decoder=decoder).info_hat, *task)
 
 
 def _in_waves(map_wave, tasks, workers: int):
@@ -112,9 +101,10 @@ def _in_waves(map_wave, tasks, workers: int):
         yield from map_wave(wave)
 
 
-def _estimate(build_runner, runner_args, result: SimResult, ebn0_points, seed: int,
-              max_frames: int, min_block_errors: int, workers: int, chunk_frames: int) -> SimResult:
-    """Shared chunk loop; identical chunk schedule for any worker count."""
+def _estimate(job, result: SimResult, ebn0_points, seed: int, max_frames: int,
+              min_block_errors: int, workers: int, chunk_frames: int) -> SimResult:
+    """Shared chunk loop: job(*task) scores one chunk; identical chunk
+    schedule for any worker count."""
     if np.ndim(ebn0_points) != 1:
         raise ValueError(f"ebn0_db must be a sequence of Eb/N0 values, got {ebn0_points!r}")
     if len(ebn0_points) == 0:
@@ -126,14 +116,10 @@ def _estimate(build_runner, runner_args, result: SimResult, ebn0_points, seed: i
 
     pool = None
     if workers > 1:
-        import multiprocessing as mp
-
+        import multiprocessing as mp   # here, not at the top: it would slow `import polarscan`
         # spawn: a forked child would inherit the state of the caller's threads
-        pool = mp.get_context("spawn").Pool(workers, initializer=_init_worker,
-                                            initargs=(build_runner, runner_args))
-        map_wave = functools.partial(pool.map, _run_chunk)
-    else:
-        map_wave = functools.partial(itertools.starmap, build_runner(*runner_args))
+        pool = mp.get_context("spawn").Pool(workers)
+    map_wave = functools.partial(itertools.starmap if pool is None else pool.starmap, job)
     try:
         for point_idx, ebn0 in enumerate(ebn0_points):
             point = SimPoint(ebn0_db=float(ebn0))
@@ -161,8 +147,8 @@ def run_sim(code: PolarCode, spec: DecoderSpec, channel: ChannelConfig,
             workers: int = 1, chunk_frames: int = CHUNK_FRAMES) -> SimResult:
     """Estimate BLER/BER per SNR point for a single polar code."""
     result = SimResult(code_label=f"({code.N},{code.K})", K=code.K)
-    return _estimate(_polar_runner, (code, spec), result, channel.ebn0_db, channel.seed,
-                     max_frames, min_block_errors, workers, chunk_frames)
+    return _estimate(functools.partial(_polar_chunk, code, spec), result, channel.ebn0_db,
+                     channel.seed, max_frames, min_block_errors, workers, chunk_frames)
 
 
 def run_ppc_sim(ppc: ProductPolarCode, cfg: PpcConfig, channel: ChannelConfig,
@@ -172,8 +158,9 @@ def run_ppc_sim(ppc: ProductPolarCode, cfg: PpcConfig, channel: ChannelConfig,
     """Estimate BLER/BER per SNR point for a product polar code."""
     label = f"({ppc.row_code.N},{ppc.row_code.K})x({ppc.col_code.N},{ppc.col_code.K})"
     result = SimResult(code_label=label, K=ppc.K)
-    return _estimate(_ppc_runner, (ppc, cfg, decoder), result, channel.ebn0_db, channel.seed,
-                     max_frames, min_block_errors, workers, chunk_frames)
+    _component_spec(cfg, decoder)   # a decoder that cannot run fails before any worker starts
+    return _estimate(functools.partial(_ppc_chunk, ppc, cfg, decoder), result, channel.ebn0_db,
+                     channel.seed, max_frames, min_block_errors, workers, chunk_frames)
 
 
 def parse_ebn0_range(text: str) -> tuple:

@@ -1,11 +1,12 @@
 """Command-line interface smoke tests (in-process via main())."""
 
+import argparse
 import json
 import warnings
 
 import pytest
 
-from polarscan.cli import main
+from polarscan.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -160,3 +161,30 @@ def test_bad_ebn0_returns_error(capsys):
                          "--ebn0", "5:1:1", "--max-frames", "100")
     assert rc == 1
     assert "error:" in err
+
+
+SUBCOMMAND_ARGS = {
+    "construct": ("--n", "8", "--k", "4"),
+    "encode": ("--n", "8", "--k", "4", "--info", "1,1,0,1"),
+    "decode": ("--n", "8", "--k", "4", "--decoder", "fast_scan", "--llrs=2,-1.5,3,0.5,2,2,-4,1"),
+    "latency": ("--codes", "128:16,256:239", "--format", "csv"),
+    "census": ("--n", "16", "--k", "8"),
+    "schedule": ("--n", "16", "--k", "8"),
+    "simulate": ("--n", "32", "--k", "16", "--ebn0", "2", "--max-frames", "300", "--min-errors", "10"),
+    "ppc-simulate": ("--n", "8", "--k", "6", "--pairs", "2", "--ebn0", "4", "--max-frames", "200",
+                     "--min-errors", "5"),
+}
+
+
+def test_every_subcommand_is_covered_by_the_out_file_test():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(SUBCOMMAND_ARGS)
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGS)
+def test_out_file_holds_exactly_what_stdout_would(capsys, tmp_path, command):
+    rc, printed, _ = run_cli(capsys, command, *SUBCOMMAND_ARGS[command])
+    assert rc == 0 and printed
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, command, *SUBCOMMAND_ARGS[command], "--out", str(path)) == (0, "", "")
+    assert path.read_text() == printed

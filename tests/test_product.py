@@ -1,5 +1,6 @@
 """Product polar codes: grid encoding and turbo-style soft decoding."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -178,6 +179,21 @@ def test_config_rejects_bool_counts(name):
     # True is a numbers.Integral, and was taken as one pair or iteration
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got True"):
         PpcConfig(**{name: True})
+
+
+@pytest.mark.parametrize("field, value", [("half_iteration_pairs", 0), ("inner_scan_iterations", 0),
+                                          ("arithmetic", "approx")])
+def test_config_is_frozen(field, value):
+    # set after construction, a field skipped __post_init__'s checks:
+    # half_iteration_pairs = 0 gave all-zero x_hat and info_hat with iterations_used 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(PpcConfig(), field, value)
+
+
+@pytest.mark.parametrize("decoder", ["sc", "bogus"])
+def test_component_decoder_must_have_soft_output(decoder):
+    with pytest.raises(ValueError, match=f"'{decoder}'"):
+        ppc_decode(square_ppc(4, 2), np.zeros((4, 4)), decoder=decoder)
 
 
 def test_decode_llr_shape_mismatch(rng):

@@ -247,6 +247,14 @@ def test_config_and_input_validation():
         init_messages(code, [np.nan, 1, -1, 2, -2, 1, 1, -3])
 
 
+@pytest.mark.parametrize("field, value", [("iterations", 0), ("arithmetic", "sum")])
+def test_config_is_frozen(field, value):
+    # set after construction, a field skipped __post_init__'s checks:
+    # iterations = 0 gave an all-zero root_extrinsic without running an iteration
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ScanConfig(), field, value)
+
+
 @pytest.mark.parametrize("flag", [True, False, np.True_])
 def test_iterations_reject_bools(flag):
     # True is a numbers.Integral, and was taken as one iteration

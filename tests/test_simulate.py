@@ -1,5 +1,9 @@
 """Monte-Carlo harness: determinism, stopping rules, CSV output."""
 
+import functools
+import multiprocessing
+import pickle
+
 import pytest
 
 from polarscan import (
@@ -11,6 +15,7 @@ from polarscan import (
     parse_ebn0_range,
     run_ppc_sim,
     run_sim,
+    simulate,
 )
 
 
@@ -116,12 +121,36 @@ def test_frame_budget_rejects_bools():
 
 
 def test_invalid_decoder_settings_fail_before_workers_start():
-    # the spec is checked where it is made: raised in a pool initializer
-    # instead, the pool respawned the failing worker forever
+    # the spec is checked where it is made, so a bad one fails before any
+    # worker starts (there is no pool initializer to fail in)
     for kw in ({"iterations": 0}, {"iterations": 2.5}, {"arithmetic": "float"},
                {"node_types": frozenset({"spc"})}):
         with pytest.raises(ValueError):
             DecoderSpec(kind="scan", **kw)
+
+
+@pytest.mark.parametrize("decoder", ["sc", "bogus"])
+def test_ppc_sim_rejects_a_component_decoder_before_workers_start(monkeypatch, decoder):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was made")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    comp = build_code(16, 11)
+    with pytest.raises(ValueError, match=f"'{decoder}'"):
+        run_ppc_sim(ProductPolarCode(comp, comp), PpcConfig(2), ChannelConfig((3.0,), seed=1),
+                    decoder=decoder, max_frames=16, workers=2)
+
+
+def test_chunk_jobs_survive_pickling():
+    # a pool sends the job to its workers by pickle: the copy scores a chunk as the original does
+    comp = build_code(8, 6)
+    jobs = (functools.partial(simulate._polar_chunk, build_code(32, 16), DecoderSpec("fast_scan", 2)),
+            functools.partial(simulate._ppc_chunk, ProductPolarCode(comp, comp), PpcConfig(2), "scan"))
+    task = (0, 3, 2.0, 7, 40)   # point, chunk, Eb/N0, seed, frames
+    for job in jobs:
+        frames, block_errors, bit_errors = job(*task)
+        assert frames == 40 and 0 < block_errors <= bit_errors
+        assert pickle.loads(pickle.dumps(job))(*task) == (frames, block_errors, bit_errors)
 
 
 def test_ppc_sim_determinism():
