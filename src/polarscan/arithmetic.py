@@ -22,7 +22,8 @@ array. A sign comes from a comparison turned into arithmetic (hard_sign is
 and an element-wise select on them runs as a data-dependent branch that
 the CPU cannot predict, several times slower than the arithmetic that
 replaces it. The one fix-up, exact box-plus of two infinities, runs only
-when its mask is not empty.
+when its mask is not empty, and only then does the call enter np.errstate
+to silence the inf - inf it evaluates.
 
 Every function but clamp takes out=, an array of the operands' broadcast
 shape that receives the result and is returned, so a decoder op writes
@@ -83,16 +84,21 @@ def boxplus(a, b, out=None):
     infinite. Where both are, a - b is NaN, so the min-sum term, there a*b,
     is returned. out must not overlap a or b.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     out = np.asarray(boxplus_minsum(a, b, out=out))   # 0-d stays an array
     both = np.isinf(out)   # min(|a|, |b|) is infinite where both operands are
-    t = np.asarray(np.add(a, b))
+    if not np.count_nonzero(both):   # so a - b is finite everywhere
+        return _add_corrections(out, a, b)
     with np.errstate(invalid="ignore"):
-        out += _log1p_exp_minus_abs(t)
-        out -= _log1p_exp_minus_abs(np.subtract(a, b, out=t))
-    if np.count_nonzero(both):
-        np.multiply(a, b, out=out, where=both)
+        _add_corrections(out, a, b)
+    np.multiply(a, b, out=out, where=both)
+    return out
+
+
+def _add_corrections(out, a, b):
+    """out + log1p(e^-|a+b|) - log1p(e^-|a-b|), left to right, into out."""
+    t = np.asarray(np.add(a, b, dtype=float))
+    out += _log1p_exp_minus_abs(t)
+    out -= _log1p_exp_minus_abs(np.subtract(a, b, out=t, dtype=float))
     return out
 
 

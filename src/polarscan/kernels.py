@@ -28,9 +28,9 @@ the frames-last block (the executor hands kernels (frames, s) views of
 level writes both halves of its result into one array of lam's layout.
 
 Every kernel takes (lam, arithmetic), accepts a batch axis and is
-stateless; Rep and TypeI only add. stair_demands runs the same level
-split top-down to give SCAN's stage-0 demands inside such a node, which
-fast-SCAN's leaf extrinsics read.
+stateless; Rep and TypeI only add. fast-SCAN's leaf fill (scan._fill) runs
+the same level split top-down to give SCAN's stage-0 demands inside such a
+node, calling stair for the stair child at each level.
 """
 
 from functools import lru_cache
@@ -85,77 +85,6 @@ def _level(lam, j, arithmetic):
     g(hi, folded, out=beta[..., :h])
     g(lo, folded, out=beta[..., h:])
     return beta
-
-
-def stair_demands(lam, prev, j, arithmetic):
-    """Turn an F^j I^(s-j) node's demand into the stage-0 demands of SCAN's
-    unpruned subtree after the final iteration, in place over lam (..., s).
-
-    prev is the node's demand one iteration earlier, None in a one-iteration
-    decode. Level by level, top-down: at half-size h, with halves a, b of
-    each node of size 2h, the nodes below (j // 2h) * 2h are Rate0, those
-    from ceil(j / 2h) * 2h on are Rate1, and at most one stair node lies
-    between, split as in _level:
-
-    * Rate0: left a + 0.0, right (a + 0.0) + b. In a one-iteration decode the
-      left demand above stage 1 is f(a, b): the right sibling has not fed
-      back yet.
-    * Rate1: left f(a, b), right f(a, 0) + b.
-    * stair, j >= h: the left child is Rate0. Left f(a, b + br), right
-      (a + 0.0) + b, where br is the right child's stair on its previous
-      demand (prev's a + b), 0 in a one-iteration decode or when the right
-      child is Rate1.
-    * stair, j < h: the right child is Rate1. Left f(a, b), right
-      f(a, bl) + b, where bl is the left child's stair on its new demand.
-
-    a + 0.0 is f(a, +inf) bit for bit (both turn -0.0 into +0.0), and each
-    rule runs SCAN's operations on operands equal to SCAN's in value. Those
-    that may differ in the sign of a zero reach only f, which ignores it,
-    so lam ends equal to SCAN's stage-0 demands bit for bit.
-    """
-    f = combiner(arithmetic)
-    s = lam.shape[-1]
-    one_iteration = prev is None
-    # the lowest half-size g whose stair node reads feedback from the iteration before
-    last_br = min((1 << k for k in range(s.bit_length() - 1) if j % (2 << k) > 1 << k), default=s)
-    h = s // 2
-    while h:
-        w = 2 * h
-        lo, hi = j // w * w, -(-j // w) * w
-        if lo:
-            a, b = _node_halves(lam[..., :lo], h)
-            if one_iteration and h > 1:
-                left = f(a, b)
-                b += a + 0.0
-                a[...] = left
-            else:
-                a += 0.0
-                b += a
-        if hi < s:
-            a, b = _node_halves(lam[..., hi:], h)
-            left = f(a, b)
-            b += f(a, 0.0)
-            a[...] = left
-        if lo < hi:
-            a, b = lam[..., lo:lo + h], lam[..., lo + h:hi]
-            if prev is not None and last_br <= h:
-                pa, pb = prev[..., :h], prev[..., h:]
-                prev = pa + pb if j - lo >= h else f(pa, pb)   # the next stair node's
-            if j - lo >= h:
-                br = stair(prev, j - lo - h, arithmetic) if j - lo > h and not one_iteration else None
-                left = f(a, b) if br is None else f(a, b + br)
-                b += a + 0.0
-            else:
-                left = f(a, b)
-                b += f(a, stair(left, j - lo, arithmetic))
-            a[...] = left
-        h //= 2
-
-
-def _node_halves(x, h):
-    """Views of the left and right halves of each size-2h node of x (..., m)."""
-    v = x.reshape(x.shape[:-1] + (x.shape[-1] // (2 * h), 2, h))
-    return v[..., 0, :], v[..., 1, :]
 
 
 def rate0_update(shape) -> np.ndarray:

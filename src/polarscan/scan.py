@@ -53,7 +53,7 @@ rows of its own, which read 0 until its first visit (a parent's left
 demand reads br first), and an op writing +inf.
 
 A decoding tree compiles once (_compile, cached) into a program: a flat
-tuple of ops in depth-first order, the leaf-fill groups and the cost of
+tuple of ops in depth-first order, the leaf-fill plan and the cost of
 each node. Each op names its operands as row slices of the buffer:
 
     _LEFT      destination, a, b, br
@@ -71,10 +71,11 @@ rows, and b + br goes to rows of one (N/2, frames) scratch block that each
 decode allocates once. A kernel leaf's feedback is copied in from the
 kernel's result. SCAN is this executor over the unpruned tree, fast-SCAN
 (fastscan.py) over a pruned schedule. Both decoders share one decode body,
-_decode, which runs the executor once per iteration. A kernel leaf's row of the leaf region holds
-its demand, not its stage-0 demands; with leaf extrinsics on, _decode turns
-it into them after the last iteration, group by group, from each leaf's
-final demand and the one before it.
+_decode, which runs the executor once per iteration. A kernel leaf's rows
+of the leaf region hold its demand, not the stage-0 demands inside it;
+with leaf extrinsics on, _fill writes those over it after the last
+iteration, from each leaf's final demand and the one before it, in one
+sweep per level over every leaf at once.
 """
 
 import numbers
@@ -86,7 +87,7 @@ import numpy as np
 from .arithmetic import combiner, sat_add
 from .channel import checked_llrs
 from .codes import PolarCode, butterfly_transform
-from .kernels import stair, stair_demands
+from .kernels import stair
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
@@ -179,16 +180,102 @@ _LEFT, _RIGHT, _FEEDBACK, _LEAF = range(4)
 _PROGRAMS = 32   # programs kept; the full n = 10 tree's takes about 1.0 MB
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: every decoder of the tree shares it."""
+    array.flags.writeable = False
+    return array
+
+
+def _last_prev_level(s: int, j: int) -> int:
+    """The lowest half-size h at which the F^j I^(s-j) leaf's stair node has
+    j' > h, and so reads the iteration before; s if none does."""
+    return min((1 << k for k in range(s.bit_length() - 1) if j % (2 << k) > 1 << k), default=s)
+
+
+def _halves(starts: list, h: int) -> np.ndarray:
+    """Rows of the left halves of the size-2h nodes at starts, node after
+    node, then of their right halves."""
+    left = (np.array(starts, dtype=np.intp)[:, None] + np.arange(h)).ravel()
+    return np.concatenate([left, left + h])
+
+
+def _fill_plan(n: int, leaves: list) -> tuple | None:
+    """The leaf fill (see _fill) of the pruned leaves (stage, index, j)
+    above stage 0, in visit order; None if there are none. It is a tuple
+    (root, prev_rows, levels, spare):
+
+    root       the pruned root is the one leaf, its demand the channel
+    prev_rows  the leaf-region rows, ascending, of the leaves whose fill
+               reads the iteration before; copied before the last iteration
+    levels     one (h, rows, cuts, br, bl, chain) per half-size h, from the
+               largest down to 1, for the size-2h nodes inside every leaf of
+               at least 2h positions:
+      rows     their leaf-region rows: the nodes' left halves, node after
+               node, then their right halves (_halves)
+      cuts     (r0, rb, r1, r2), row offsets into a half that cut the nodes
+               into rule blocks: Rate0 [0, r0), stair with j' == h [r0, rb),
+               stair with j' > h [rb, r1), stair with j' < h [r1, r2), Rate1
+               [r2, end), j' a stair node's count of frozen positions
+      br       (j' - h, lo, hi) per run of equal j' > h: rows [rb + lo, rb + hi)
+      bl       (j', lo, hi) per run of equal j' < h: rows [r1 + lo, r1 + hi)
+      chain    None if no node here reads the iteration before, else (pick,
+               r1 - rb, child): pick, the rows in the prev_rows copy of the
+               halves of the nodes [rb, r1) and then of the j' < h nodes
+               whose stair child reads it lower down; child, the rows of
+               those stair children, right ones then left ones
+    spare      the most rows of j' < h and Rate1 nodes that one level with
+               j' < h nodes has
+    """
+    if not leaves:
+        return None
+    last = {(t, i): _last_prev_level(1 << t, j) for t, i, j in leaves}
+    prev_rows = _frozen(np.array([r for t, i, _ in leaves if last[t, i] < 1 << t for r in range(i << t, (i + 1) << t)],
+                                 dtype=np.intp))
+    levels, spare = [], 0
+    for k in range(max(t for t, _, _ in leaves) - 1, -1, -1):
+        h, w = 1 << k, 2 << k
+        rate0, at_h, rate1, stairs, reading = [], [], [], {}, set()
+        for t, i, j in leaves:
+            if t <= k:
+                continue
+            base, lo, hi = i << t, j // w * w, -(-j // w) * w   # Rate0 nodes below lo, Rate1 from hi
+            rate0 += range(base, base + lo, w)
+            rate1 += range(base + hi, base + (1 << t), w)
+            if lo < hi:   # the one stair node in between
+                (at_h if j - lo == h else stairs.setdefault(j - lo, [])).append(base + lo)
+                if last[t, i] <= h:
+                    reading.add(base + lo)
+        ge, lt, br, bl = [], [], [], []
+        for jj in sorted(stairs):
+            nodes, runs, key = (ge, br, jj - h) if jj > h else (lt, bl, jj)
+            runs.append((key, len(nodes) * h, (len(nodes) + len(stairs[jj])) * h))
+            nodes += stairs[jj]
+        order = rate0 + at_h + ge + lt + rate1
+        r0 = len(rate0) * h
+        rb = r0 + len(at_h) * h
+        r1 = rb + len(ge) * h
+        r2 = r1 + len(lt) * h
+        if bl:
+            spare = max(spare, len(order) * h - r1)
+        chain = None
+        reading = ge + [p for p in lt if p in reading]   # every j' > h node reads it
+        if reading:
+            pick = _frozen(np.searchsorted(prev_rows, _halves(reading, h)))
+            half = len(reading) * h
+            chain = (pick, r1 - rb, _frozen(np.concatenate([pick[half:half + r1 - rb], pick[r1 - rb:half]])))
+        levels.append((h, _frozen(_halves(order, h)), (r0, rb, r1, r2), tuple(br), tuple(bl), chain))
+    return leaves[0][0] == n, prev_rows, tuple(levels), spare
+
+
 @lru_cache(maxsize=_PROGRAMS)
 def _compile(n: int, leaves: tuple = ()) -> tuple:
-    """The program (ops, fills, cost) of a stage-n decoding tree, from one walk.
+    """The program (ops, fill, cost) of a stage-n decoding tree, from one walk.
 
     leaves holds (stage, index, j) per pruned leaf, j the number of leading
     frozen positions of its F^j I^(s-j) pattern; () is the unpruned tree.
     Each op is a 6-tuple (kind, operands..., None padding), its operands row
-    slices of the buffer as listed in the module docstring. fills holds, per
-    (stage, j) in order of first visit, (stage, positions, j): positions is
-    a read-only (leaves, 2^stage) array of leaf-region rows in visit order.
+    slices of the buffer as listed in the module docstring. fill is the
+    _fill_plan of the pruned leaves above stage 0, None if there are none.
     cost is a read-only int32 array of each node's charged ops, node (t, i)
     at (1 << (n - t)) + i.
     """
@@ -196,7 +283,7 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
     pruned = {(t, i): j for t, i, j in leaves}
     constant = {(t, i) for t, i, j in leaves if t and j in (0, 1 << t)}   # Rate0, Rate1 above stage 0
     on_prior = constant - {(t, i) for t, i, j in leaves if j and (i % 2 or t == n)}   # but Rate0 right, root
-    ops, groups, cuts = [], {}, {}
+    ops, filled, cuts = [], [], {}
     cost = [0] * (2 * N)
 
     def rows(lo, size):   # one slice per span, shared by every op that names it
@@ -226,7 +313,7 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
         if t == 0:
             return
         if (t, i) in pruned:
-            groups.setdefault((t, pruned[t, i]), []).append(range(i << t, (i + 1) << t))
+            filled.append((t, i, pruned[t, i]))
             if (t, i) not in on_prior:
                 emit((_LEAF, feedback(t, i), demand(t, i), pruned[t, i], None, None), t, i)
             return
@@ -240,11 +327,7 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
         emit((_FEEDBACK, rows(fb.start, h), rows(fb.start + h, h), b, bl, br), t, i)
 
     visit(n, 0)
-    fills = tuple((t, np.array(spans), j) for (t, j), spans in groups.items())
-    cost = np.array(cost, dtype=np.int32)
-    for array in (cost, *(positions for _, positions, _ in fills)):
-        array.flags.writeable = False   # every decoder of the tree shares them
-    return tuple(ops), fills, cost
+    return tuple(ops), _fill_plan(n, filled), _frozen(np.array(cost, dtype=np.int32))
 
 
 def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, scratch: np.ndarray) -> None:
@@ -283,33 +366,107 @@ def _soft_output(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nodes(x: np.ndarray, h: int) -> np.ndarray:
+    """(nodes, frames, h) view of the rows x (nodes h, frames) of size-h nodes."""
+    return x.reshape(-1, h, x.shape[1]).swapaxes(1, 2)
+
+
+def _fill(fill: tuple, leaf: np.ndarray, prev: np.ndarray | None, arithmetic: str) -> None:
+    """Turn the demand of every kernel leaf in leaf (N, frames) into SCAN's
+    stage-0 demands inside it, in place, one level sweep per half-size h.
+
+    prev holds the prev_rows of leaf one iteration earlier, None in a
+    one-iteration decode; it is folded down as the levels run. At half-size
+    h, with halves a, b of each size-2h node, a node is Rate0, Rate1 or a
+    stair node with j' of its 2h positions frozen, split as in kernels._level:
+
+    * Rate0: left a + 0.0, right (a + 0.0) + b. In a one-iteration decode the
+      left demand above stage 1 is f(a, b): the right sibling has not fed
+      back yet.
+    * Rate1: left f(a, b), right f(a, 0) + b.
+    * stair, j' >= h: the left child is Rate0. Left f(a, b + br), right
+      (a + 0.0) + b, where br is the right child's stair on its previous
+      demand (the previous a + b), 0 in a one-iteration decode or when the
+      right child is Rate1 (j' == h).
+    * stair, j' < h: the right child is Rate1. Left f(a, b), right
+      f(a, bl) + b, where bl is the left child's stair on its new demand.
+
+    a + 0.0 is f(a, +inf) bit for bit (both turn -0.0 into +0.0), and each
+    rule runs SCAN's operations on operands equal to SCAN's in value. Those
+    that may differ in the sign of a zero reach only f, which ignores it,
+    so leaf ends equal to SCAN's stage-0 demands bit for bit.
+
+    Each level makes one gather of its nodes, one f over every left demand
+    but Rate0's, one f over the right demands of the j' < h and Rate1
+    nodes, one stair call per run of equal j', and one scatter. The gather
+    and result blocks are allocated once, at the size of the h = 1 level,
+    which spans every leaf.
+    """
+    f = combiner(arithmetic)
+    frames = leaf.shape[1]
+    _, _, levels, spare_rows = fill
+    held = np.empty((levels[-1][1].size, frames))
+    new = np.empty_like(held)
+    spare = np.empty((spare_rows, frames))
+    for h, rows, (r0, rb, r1, r2), br, bl, chain in levels:
+        m = rows.size >> 1
+        leaf.take(rows, axis=0, out=held[:2 * m], mode="clip")   # "raise" would gather through a temporary
+        a, b, left, right = held[:m], held[m:2 * m], new[:m], new[m:2 * m]
+        start = r0 if prev is not None or h == 1 else 0   # the first node whose left demand is an f
+        np.add(a[:r1], 0.0, out=right[:r1])
+        if start:
+            left[:start] = right[:start]
+        right[:r1] += b[:r1]
+        if prev is not None and chain is not None:
+            pick, ge, child = chain
+            k = pick.size >> 1
+            halves = prev.take(pick, axis=0)
+            pa, pb, folded = halves[:k], halves[k:], np.empty((k, frames))   # folded: the stair children's previous demands,
+            np.add(pa[:ge], pb[:ge], out=folded[:ge])   # a right child's a + b
+            if ge < k:
+                f(pa[ge:], pb[ge:], out=folded[ge:])   # and a left child's f(a, b)
+            prev[child] = folded
+            for jj, lo, hi in br:
+                b_br = _nodes(b[rb + lo:rb + hi], h)
+                b_br += stair(_nodes(folded[lo:hi], h), jj, arithmetic)
+        if start < m:
+            f(a[start:], b[start:], out=left[start:])
+        if r1 < m:
+            bl_or_0 = 0.0
+            if bl:
+                bl_or_0 = spare[:m - r1]
+                for jj, lo, hi in bl:
+                    _nodes(bl_or_0[lo:hi], h)[...] = stair(_nodes(left[r1 + lo:r1 + hi], h), jj, arithmetic)
+                bl_or_0[r2 - r1:] = 0.0
+            f(a[r1:], bl_or_0, out=right[r1:])
+            right[r1:] += b[r1:]
+        leaf[rows] = new[:2 * m]
+
+
 def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
     cfg.iterations runs of dec._ops, then finalize; nothing is kept on dec.
 
-    With leaf_extrinsic set, each (stage, positions, j) of dec._fills, the
-    fill groups of _compile, turns the leaf region of one group of
-    F^j I^(2^stage-j) leaves into their stage-0 demands after the last
-    iteration, from the leaves' final demands and, when there was an
-    iteration before, their demands from it, gathered before the last one."""
+    With leaf_extrinsic set and a dec._fill plan (a pruned tree's), _fill
+    turns every kernel leaf's final demand into its stage-0 demands after the
+    last iteration, reading the plan's prev_rows of the leaf region as they
+    were before the last iteration when there was one before it."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
-    fills = dec._fills if leaf_extrinsic else ()
+    fill = dec._fill if leaf_extrinsic else None
     leaf = mem.leaf.T   # (N, frames)
-    # a pruned root is the one leaf whose demand is the channel, not the leaf region
-    demand = mem.channel.T if fills and fills[0][0] == dec.code.n else leaf
-    prev = [None] * len(fills)
+    if fill and fill[0]:
+        leaf[...] = mem.channel.T   # a pruned root's demand is the channel; the fill works in the leaf region
+    prev = None
     scratch = np.empty((dec.code.N >> 1, mem.buffer.shape[1]))
     for k in range(cfg.iterations):
-        if k and k == cfg.iterations - 1:
-            prev = [demand[span].swapaxes(-1, -2) for _, span, _ in fills]
+        if fill and k and k == cfg.iterations - 1:
+            prev = leaf.take(fill[1], axis=0)   # the prev_rows
         _run_ops(dec._ops, mem, cfg, scratch)
     del scratch   # freed before the fill and finalize, whose temporaries set the decode's peak
-    for (t, span, j), p in zip(fills, prev):
-        lam = demand[span]   # (leaves, 2^t, frames), frames last like mem
-        stair_demands(lam.swapaxes(-1, -2), p, j, cfg.arithmetic)
-        leaf[span] = lam
+    if fill:
+        _fill(fill, leaf, prev, cfg.arithmetic)
     return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 
 
@@ -319,7 +476,7 @@ class ScanDecoder:
     def __init__(self, code: PolarCode, cfg: ScanConfig | None = None):
         self.code = code
         self.cfg = cfg or ScanConfig()
-        self._ops, self._fills, _ = _compile(code.n)   # no fills: the executor writes every leaf demand
+        self._ops, self._fill, _ = _compile(code.n)   # no fill: the executor writes every leaf demand
 
     def decode(self, channel_llrs: np.ndarray) -> ScanOutput:
         return _decode(self, channel_llrs, True)

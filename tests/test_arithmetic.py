@@ -239,3 +239,24 @@ def test_large_arrays_match_elementwise_reference():
         own = a.copy()   # sat_add over its first operand, as the executor's feedback op runs it
         assert sat_add(own, b, out=own) is own
         np.testing.assert_array_equal(_bits(own), _bits(sat_add(a, b)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_boxplus_enters_errstate_only_for_two_infinities(monkeypatch):
+    # a - b is NaN (inf - inf, which warns) only where both operands are
+    # infinite; any other pair, one +inf included, needs no np.errstate
+    col, row = BIT_GRID[:-1, None], BIT_GRID[None, :]   # finite x finite-or-inf
+    want = np.array([[_ref_boxplus(float(x), float(y)) for y in BIT_GRID] for x in BIT_GRID[:-1]])
+
+    def raising(*args, **kwargs):
+        raise AssertionError("np.errstate entered")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "errstate", raising)
+        np.testing.assert_array_equal(_bits(boxplus(col, row)), _bits(want))
+        np.testing.assert_array_equal(_bits(boxplus(row, col)), _bits(want))   # box-plus is symmetric
+        assert _bits(boxplus(2.0, inf)) == _bits(2.0)
+    # both infinite: a*b there, and no warning escapes
+    a, b = np.array([inf, inf, -1.5, 0.0]), np.array([inf, 2.0, inf, inf])
+    np.testing.assert_array_equal(_bits(boxplus(a, b)), _bits([inf, 2.0, -1.5, 0.0]))
+    assert float(boxplus(inf, inf)) == inf

@@ -1,6 +1,8 @@
 """Schedule-driven decoder equivalence with the full message-passing decoder."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from polarscan import (
     fast_scan_decode,
     scan_decode,
 )
-from polarscan import fastscan, kernels, scan
+from polarscan import arithmetic, fastscan, kernels, scan
 from polarscan.cli import main
 from polarscan.arithmetic import DEFAULT_SAT
 from reference_scan import ref_scan
@@ -171,23 +173,28 @@ def test_executor_runs_once_per_iteration(monkeypatch, rng, N, K):
 @pytest.mark.parametrize("types", [DEFAULT_TYPES, KERNEL_TYPES], ids=["default", "all"])
 @pytest.mark.parametrize("N, K", [(128, 64), (1024, 512)])
 def test_program_fills_are_the_kernel_leaves_and_shared(N, K, types):
-    # scan._compile groups the stage >= 1 leaves by (stage, frozen count) in
-    # visit order, and decoders of equal trees share one cached program
+    # scan._compile's fill plan sweeps the stage >= 1 leaves level by level:
+    # the level of half-size h holds every size-2h node of the leaves of at
+    # least 2h positions, and nothing else; decoders of equal trees share
+    # one cached program
     code = build_code(N, K)
     dec = FastScanDecoder(code, schedule=build_schedule(code, types))
-    want = {}
-    for d in dec.schedule.leaves():
-        if d.stage > 0:
-            span = list(range(d.offset, d.offset + d.size))
-            want.setdefault((d.stage, int(code.frozen_mask[span].sum())), []).append(span)
-    assert [(t, j) for t, _, j in dec._fills] == list(want)
-    for t, positions, j in dec._fills:
-        np.testing.assert_array_equal(positions, want[t, j])
-        assert not positions.flags.writeable
+    leaves = [d for d in dec.schedule.leaves() if d.stage > 0]
+    top = max(d.stage for d in leaves)
+    _, _, levels, _ = dec._fill
+    assert [h for h, *_ in levels] == [1 << k for k in range(top - 1, -1, -1)]
+    for h, rows, *_ in levels:
+        want = [r for d in leaves if d.size >= 2 * h for r in range(d.offset, d.offset + d.size)]
+        np.testing.assert_array_equal(np.sort(rows), want)
+        starts = rows[:rows.size // 2:h]   # each node's first row
+        left = (starts[:, None] + np.arange(h)).ravel()
+        np.testing.assert_array_equal(starts % (2 * h), 0)
+        np.testing.assert_array_equal(rows, np.concatenate([left, left + h]))
+        assert not rows.flags.writeable
     twin = FastScanDecoder(code, schedule=build_schedule(code, types))
-    assert twin._ops is dec._ops and twin._fills is dec._fills
+    assert twin._ops is dec._ops and twin._fill is dec._fill
     full = ScanDecoder(code)
-    assert full._fills == () and ScanDecoder(code)._ops is full._ops
+    assert full._fill is None and ScanDecoder(code)._ops is full._ops
 
 
 @pytest.mark.parametrize("code, count", [
@@ -260,6 +267,48 @@ def test_leaf_demands_are_bit_identical_in_exact_arithmetic_at_128(rng, final_me
     for start, value in enumerate((0.0, -0.0, DEFAULT_SAT, -DEFAULT_SAT, 1e-300)):
         llrs[:, start::23] = value
     _assert_leaf_demands_bit_identical(code, ScanConfig(iterations=iters, arithmetic="exact"), llrs, final_memory)
+
+
+def test_leaf_fill_makes_few_box_plus_calls(monkeypatch, rng):
+    # one f over the left demands and one over the right demands per level,
+    # plus the stair calls; the per-group fill made 58 box-plus calls here
+    code = build_code(128, 64)
+    llrs = rng.normal(1.0, 2.0, size=(16, 128))
+    calls = []
+    boxplus = arithmetic.boxplus
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return boxplus(*args, **kwargs)
+
+    monkeypatch.setattr(arithmetic, "boxplus", counting)
+    counts = {}
+    for leaf in (True, False):
+        dec = FastScanDecoder(code, ScanConfig(iterations=2, arithmetic="exact"), leaf_extrinsic=leaf)
+        calls.clear()
+        dec.decode(llrs)
+        counts[leaf] = len(calls)
+    assert counts[False] > 0 and counts[True] - counts[False] <= 24
+
+
+@pytest.mark.parametrize("N, K, frames, arithmetic_mode, mib", [
+    (128, 64, 16, "exact", 0.2140), (1024, 512, 64, "minsum", 7.384),
+])
+def test_leaf_fill_peak_memory_is_below_the_per_group_fill(N, K, frames, arithmetic_mode, mib):
+    # mib is the per-group fill's tracemalloc peak for one leaf-on decode,
+    # measured as here: from a collected heap, after a warm-up decode
+    code = build_code(N, K)
+    dec = FastScanDecoder(code, ScanConfig(iterations=2, arithmetic=arithmetic_mode))
+    llrs = np.random.default_rng(3).normal(1.0, 2.0, size=(frames, N))
+    dec.decode(llrs)   # compiles the program outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dec.decode(llrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 def test_determinism(rng):

@@ -11,18 +11,19 @@ among them.
 Each node kernel is also checked on its own against a one-iteration SCAN
 over its frozen pattern, in value and in both arithmetics, and every
 compiled schedule against the partition and maximality rules of
-schedule.py.
+schedule.py. fast-SCAN's level-sweep leaf fill is checked bit for bit
+against the per-group fill it replaced (stair_demands below).
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import code_from_mask
 from polarscan import FastScanDecoder, ScanConfig, ScanDecoder, kernels, scan
-from polarscan.arithmetic import DEFAULT_SAT
+from polarscan.arithmetic import DEFAULT_SAT, combiner
 from polarscan.schedule import CONSTANT_TYPES, DEFAULT_TYPES, KERNEL_TYPES, NodeType, build_schedule, classify
 from reference_scan import ref_scan
 
@@ -205,3 +206,120 @@ def test_schedule_is_a_maximal_partition(mask, types):
     assert not pending
     leaves = [np.arange(d.offset, d.offset + d.size) for d in schedule.leaves()]
     np.testing.assert_array_equal(np.concatenate(leaves), np.arange(mask.size))
+
+
+def stair_demands(lam, prev, j, arithmetic):
+    """The per-group fill's level loop, which scan._fill replaced. Turn an
+    F^j I^(s-j) node's demand into the stage-0 demands of SCAN's
+    unpruned subtree after the final iteration, in place over lam (..., s).
+
+    prev is the node's demand one iteration earlier, None in a one-iteration
+    decode. Level by level, top-down: at half-size h, with halves a, b of
+    each node of size 2h, the nodes below (j // 2h) * 2h are Rate0, those
+    from ceil(j / 2h) * 2h on are Rate1, and at most one stair node lies
+    between, split as in _level:
+
+    * Rate0: left a + 0.0, right (a + 0.0) + b. In a one-iteration decode the
+      left demand above stage 1 is f(a, b): the right sibling has not fed
+      back yet.
+    * Rate1: left f(a, b), right f(a, 0) + b.
+    * stair, j >= h: the left child is Rate0. Left f(a, b + br), right
+      (a + 0.0) + b, where br is the right child's stair on its previous
+      demand (prev's a + b), 0 in a one-iteration decode or when the right
+      child is Rate1.
+    * stair, j < h: the right child is Rate1. Left f(a, b), right
+      f(a, bl) + b, where bl is the left child's stair on its new demand.
+
+    a + 0.0 is f(a, +inf) bit for bit (both turn -0.0 into +0.0), and each
+    rule runs SCAN's operations on operands equal to SCAN's in value. Those
+    that may differ in the sign of a zero reach only f, which ignores it,
+    so lam ends equal to SCAN's stage-0 demands bit for bit.
+    """
+    f = combiner(arithmetic)
+    s = lam.shape[-1]
+    one_iteration = prev is None
+    # the lowest half-size g whose stair node reads feedback from the iteration before
+    last_br = min((1 << k for k in range(s.bit_length() - 1) if j % (2 << k) > 1 << k), default=s)
+    h = s // 2
+    while h:
+        w = 2 * h
+        lo, hi = j // w * w, -(-j // w) * w
+        if lo:
+            a, b = _node_halves(lam[..., :lo], h)
+            if one_iteration and h > 1:
+                left = f(a, b)
+                b += a + 0.0
+                a[...] = left
+            else:
+                a += 0.0
+                b += a
+        if hi < s:
+            a, b = _node_halves(lam[..., hi:], h)
+            left = f(a, b)
+            b += f(a, 0.0)
+            a[...] = left
+        if lo < hi:
+            a, b = lam[..., lo:lo + h], lam[..., lo + h:hi]
+            if prev is not None and last_br <= h:
+                pa, pb = prev[..., :h], prev[..., h:]
+                prev = pa + pb if j - lo >= h else f(pa, pb)   # the next stair node's
+            if j - lo >= h:
+                br = kernels.stair(prev, j - lo - h, arithmetic) if j - lo > h and not one_iteration else None
+                left = f(a, b) if br is None else f(a, b + br)
+                b += a + 0.0
+            else:
+                left = f(a, b)
+                b += f(a, kernels.stair(left, j - lo, arithmetic))
+            a[...] = left
+        h //= 2
+
+
+def _node_halves(x, h):
+    """Views of the left and right halves of each size-2h node of x (..., m)."""
+    v = x.reshape(x.shape[:-1] + (x.shape[-1] // (2 * h), 2, h))
+    return v[..., 0, :], v[..., 1, :]
+
+
+def per_group_fill(code, cfg, schedule, llrs, final_memory):
+    """The leaf region finalize received from the per-group fill: the leaves
+    of each (stage, j), stacked as frames, through stair_demands, from the
+    final demands of a leaf-off decode and those of one with an iteration
+    fewer. A pruned root's demand is the channel."""
+    def demands(iterations):
+        FastScanDecoder(code, ScanConfig(iterations, cfg.arithmetic), schedule, leaf_extrinsic=False).decode(llrs)
+        mem = final_memory[-1]
+        return mem.leaf.T.copy(), (mem.channel if len(schedule.nodes) == 1 else mem.leaf).T.copy()
+
+    leaf, lam = demands(cfg.iterations)
+    prev = demands(cfg.iterations - 1)[1] if cfg.iterations > 1 else None
+    groups = {}
+    for d in schedule.leaves():
+        if d.stage:
+            groups.setdefault((d.stage, d.j), []).append(range(d.offset, d.offset + d.size))
+    for (_, j), spans in groups.items():
+        span = np.array(spans)
+        group = lam[span]   # (leaves, 2^stage, frames)
+        stair_demands(group.swapaxes(-1, -2), None if prev is None else prev[span].swapaxes(-1, -2), j, cfg.arithmetic)
+        leaf[span] = group
+    return leaf.T
+
+
+FILL_LLRS = st.one_of(LLR_VALUES, st.sampled_from([-0.0, 2.0**21, -2.0**21]))   # the last two beyond the clamp
+
+
+@settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cases(FILL_LLRS), st.sampled_from([DEFAULT_TYPES, KERNEL_TYPES]), st.sampled_from(["minsum", "exact"]))
+@example((np.arange(8) >= 4, EXAMPLE_LLRS, 2), DEFAULT_TYPES, "exact")   # a Rate0 right child
+@example((np.ones(8, dtype=bool), EXAMPLE_LLRS, 2), DEFAULT_TYPES, "minsum")   # a Rate0 root
+@example((np.arange(8) < 7, EXAMPLE_LLRS, 3), DEFAULT_TYPES, "exact")   # a Rep root: its demand is the channel
+@example((np.arange(16) < 2, np.hstack([EXAMPLE_LLRS, -EXAMPLE_LLRS]), 2), KERNEL_TYPES, "minsum")   # a TypeIII root
+def test_level_sweep_fill_equals_per_group_fill(final_memory, case, types, arithmetic):
+    mask, llrs, iterations = case
+    code = code_from_mask(mask)
+    cfg = ScanConfig(iterations=iterations, arithmetic=arithmetic)
+    schedule = build_schedule(code, types)
+    out = FastScanDecoder(code, cfg, schedule).decode(llrs)
+    got = final_memory[-1].leaf
+    want = per_group_fill(code, cfg, schedule, llrs, final_memory)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(out.leaf_extrinsic, want)
