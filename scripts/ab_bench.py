@@ -13,7 +13,10 @@ side, workload, seed, pair, its place in the pair, the checkout's git
 revision (with "-dirty" when its tracked files differ from it), the git
 tree id of its src/ as it ran, and the Python and numpy versions that ran
 it. The tree id names the source even in a dirty checkout: once those
-files are committed, `git rev-parse <commit>:src` prints the same id. A
+files are committed, `git rev-parse <commit>:src` prints the same id. Each
+record also carries the state of the host as the run ended: its CPU count,
+the CPUs this process may run on and the 1-, 5- and 15-minute load
+averages, since on a shared host the same code's figures move with them. A
 summary of the end-to-end metrics per side, over this call's pairs,
 follows on stdout.
 """
@@ -67,6 +70,12 @@ def versions():
                          capture_output=True, text=True, check=True)
     python, numpy = out.stdout.split()
     return python, numpy
+
+
+def host_state():
+    """CPU count, usable CPUs and load averages of the host, as of now."""
+    return {"cpu_count": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
+            "loadavg": list(os.getloadavg())}
 
 
 def run_once(root, workload, seed, seconds):
@@ -132,7 +141,8 @@ def main(argv=None):
         for place, side in enumerate(order):
             line = run_once(sides[side], args.workload, args.seed, seconds)
             ran.append({"side": side, "workload": args.workload, "seed": args.seed, "pair": pair, "order": place,
-                        "rev": revs[side], "src_tree": trees[side], "python": python, "numpy": numpy, "line": line})
+                        "rev": revs[side], "src_tree": trees[side], "python": python, "numpy": numpy,
+                        **host_state(), "line": line})
             with open(args.out, "w") as fh:   # rewritten after every run, so a cut series keeps its runs
                 json.dump(records + ran, fh, indent=1)
                 fh.write("\n")

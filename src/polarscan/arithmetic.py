@@ -39,6 +39,17 @@ import numpy as np
 DEFAULT_SAT = 1.0e6
 
 
+def _operand(value):
+    """value as a read-only 0-d float array: numpy takes a Python scalar
+    operand several times slower than an array one."""
+    x = np.full((), value)
+    x.flags.writeable = False
+    return x
+
+
+_ZERO, _ONE, _MINUS_ONE, _MINUS_TWO = _operand(0.0), _operand(1.0), _operand(-1.0), _operand(-2.0)
+
+
 def clamp(x):
     """Clip values into [-SAT, +SAT]."""
     return np.asarray(x).clip(-DEFAULT_SAT, DEFAULT_SAT)
@@ -46,8 +57,8 @@ def clamp(x):
 
 def hard_sign(x, out=None):
     """Sign with sign(0) = +1, returned as +-1.0 floats; out may be x itself."""
-    s = np.asarray(np.multiply(np.asarray(x) < 0, -2.0, out=out))   # 0-d stays an array
-    s += 1.0
+    s = np.asarray(np.multiply(np.asarray(x) < _ZERO, _MINUS_TWO, out=out))   # 0-d stays an array
+    s += _ONE
     return s
 
 
@@ -70,7 +81,7 @@ def boxplus_minsum(a, b, out=None):
         out = np.minimum(np.abs(a), np.abs(b))   # 0-d operands give a numpy scalar
     else:
         np.minimum(np.abs(a, out=out), np.abs(b), out=out)
-    flip = np.asarray(np.negative(np.not_equal(a < 0, b < 0), dtype=float))   # 0-d stays an array
+    flip = np.asarray(np.negative(np.not_equal(a < _ZERO, b < _ZERO), dtype=float))   # 0-d stays an array
     out *= hard_sign(flip, out=flip)
     return out
 
@@ -104,8 +115,7 @@ def _add_corrections(out, a, b):
 
 def _log1p_exp_minus_abs(t):
     """log1p(e^-|t|), computed over t in place."""
-    np.abs(t, out=t)
-    np.negative(t, out=t)
+    np.copysign(t, _MINUS_ONE, out=t)   # -|t| in one call
     np.exp(t, out=t)
     return np.log1p(t, out=t)
 

@@ -59,7 +59,9 @@ each node. Each op names its operands as row slices of the buffer:
     _LEFT      destination, a, b, br
     _RIGHT     destination, a, b, bl, own right half (receives f(a, bl))
     _FEEDBACK  own left half, own right half, b, bl, br
-    _LEAF      feedback, demand, j   (a pruned F^j I^(s-j) leaf: kernels.stair)
+    _LEAF      feedback, demand, j, offset   (a pruned F^j I^(s-j) leaf:
+               kernels.stair; offset, its first position, and so the first
+               of its rows of the fold block)
 
 An op is charged to the node whose demand or feedback it computes; an
 internal root's feedback op, the demand into a constant leaf above stage 0
@@ -68,14 +70,20 @@ and a Rate0 leaf's +inf write are free. latency.schedule_latency reads it.
 _run_ops executes one iteration in a plain loop, with no stack: every
 internal-node op writes its result with out= straight into its destination
 rows, and b + br goes to rows of one (N/2, frames) scratch block that each
-decode allocates once. A kernel leaf's feedback is copied in from the
-kernel's result. SCAN is this executor over the unpruned tree, fast-SCAN
-(fastscan.py) over a pruned schedule. Both decoders share one decode body,
-_decode, which runs the executor once per iteration. A kernel leaf's rows
-of the leaf region hold its demand, not the stage-0 demands inside it;
-with leaf extrinsics on, _fill writes those over it after the last
-iteration, from each leaf's final demand and the one before it, in one
-sweep per level over every leaf at once.
+decode allocates once. A kernel leaf's kernel writes its feedback straight
+into the leaf's feedback rows too. SCAN is this executor over the unpruned
+tree, fast-SCAN (fastscan.py) over a pruned schedule. Both decoders share
+one decode body, _decode, which runs the executor once per iteration. A
+kernel leaf's rows of the leaf region hold its demand, not the stage-0
+demands inside it; with leaf extrinsics on, _fill writes those over it
+after the last iteration, in one sweep per level over every leaf at once.
+It reads the feedback of the stair children inside each leaf from two
+fold blocks, (N, frames) like the leaf region, of the last iteration and
+the one before: every kernel leaf op of a leaf-on decode hands the kernel
+the leaf's own rows of its iteration's block, in which the kernel leaves
+each level's inner result (see kernels.py).
+The fill's gather and result blocks are the internal-demand and left
+regions, which nothing reads after the last iteration.
 """
 
 import numbers
@@ -186,55 +194,40 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _last_prev_level(s: int, j: int) -> int:
-    """The lowest half-size h at which the F^j I^(s-j) leaf's stair node has
-    j' > h, and so reads the iteration before; s if none does."""
-    return min((1 << k for k in range(s.bit_length() - 1) if j % (2 << k) > 1 << k), default=s)
-
-
-def _halves(starts: list, h: int) -> np.ndarray:
-    """Rows of the left halves of the size-2h nodes at starts, node after
-    node, then of their right halves."""
-    left = (np.array(starts, dtype=np.intp)[:, None] + np.arange(h)).ravel()
-    return np.concatenate([left, left + h])
+def _spans(starts: list, h: int) -> np.ndarray:
+    """Rows of the h-row spans at starts, span after span."""
+    return (np.array(starts, dtype=np.intp)[:, None] + np.arange(h)).ravel()
 
 
 def _fill_plan(n: int, leaves: list) -> tuple | None:
     """The leaf fill (see _fill) of the pruned leaves (stage, index, j)
     above stage 0, in visit order; None if there are none. It is a tuple
-    (root, prev_rows, levels, spare):
+    (root, levels):
 
     root       the pruned root is the one leaf, its demand the channel
-    prev_rows  the leaf-region rows, ascending, of the leaves whose fill
-               reads the iteration before; copied before the last iteration
-    levels     one (h, rows, cuts, br, bl, chain) per half-size h, from the
-               largest down to 1, for the size-2h nodes inside every leaf of
-               at least 2h positions:
+    levels     one (h, rows, cuts, folds) per half-size h, from the largest
+               down to 1, for the size-2h nodes inside every leaf of at
+               least 2h positions:
       rows     their leaf-region rows: the nodes' left halves, node after
-               node, then their right halves (_halves)
+               node, then their right halves
       cuts     (r0, rb, r1, r2), row offsets into a half that cut the nodes
                into rule blocks: Rate0 [0, r0), stair with j' == h [r0, rb),
                stair with j' > h [rb, r1), stair with j' < h [r1, r2), Rate1
                [r2, end), j' a stair node's count of frozen positions
-      br       (j' - h, lo, hi) per run of equal j' > h: rows [rb + lo, rb + hi)
-      bl       (j', lo, hi) per run of equal j' < h: rows [r1 + lo, r1 + hi)
-      chain    None if no node here reads the iteration before, else (pick,
-               r1 - rb, child): pick, the rows in the prev_rows copy of the
-               halves of the nodes [rb, r1) and then of the j' < h nodes
-               whose stair child reads it lower down; child, the rows of
-               those stair children, right ones then left ones
-    spare      the most rows of j' < h and Rate1 nodes that one level with
-               j' < h nodes has
+      folds    rows of the fold blocks (see _fill) that hold the stair
+               children's feedback, node after node: the br of the nodes
+               [rb, r1) in the block of the iteration before, then the bl
+               of the nodes [r1, r2) in the last iteration's. A leaf's
+               kernel leaves the stair child of its size-2h node at rows
+               [h, 2h) of the leaf's own rows.
     """
     if not leaves:
         return None
-    last = {(t, i): _last_prev_level(1 << t, j) for t, i, j in leaves}
-    prev_rows = _frozen(np.array([r for t, i, _ in leaves if last[t, i] < 1 << t for r in range(i << t, (i + 1) << t)],
-                                 dtype=np.intp))
-    levels, spare = [], 0
+    N = 1 << n
+    levels = []
     for k in range(max(t for t, _, _ in leaves) - 1, -1, -1):
         h, w = 1 << k, 2 << k
-        rate0, at_h, rate1, stairs, reading = [], [], [], {}, set()
+        rate0, at_h, rate1, ge, lt = [], [], [], [], []
         for t, i, j in leaves:
             if t <= k:
                 continue
@@ -242,29 +235,16 @@ def _fill_plan(n: int, leaves: list) -> tuple | None:
             rate0 += range(base, base + lo, w)
             rate1 += range(base + hi, base + (1 << t), w)
             if lo < hi:   # the one stair node in between
-                (at_h if j - lo == h else stairs.setdefault(j - lo, [])).append(base + lo)
-                if last[t, i] <= h:
-                    reading.add(base + lo)
-        ge, lt, br, bl = [], [], [], []
-        for jj in sorted(stairs):
-            nodes, runs, key = (ge, br, jj - h) if jj > h else (lt, bl, jj)
-            runs.append((key, len(nodes) * h, (len(nodes) + len(stairs[jj])) * h))
-            nodes += stairs[jj]
-        order = rate0 + at_h + ge + lt + rate1
+                (at_h if j - lo == h else ge if j - lo > h else lt).append((base + lo, base + h))
+        order = rate0 + [p for p, _ in at_h + ge + lt] + rate1
         r0 = len(rate0) * h
         rb = r0 + len(at_h) * h
         r1 = rb + len(ge) * h
         r2 = r1 + len(lt) * h
-        if bl:
-            spare = max(spare, len(order) * h - r1)
-        chain = None
-        reading = ge + [p for p in lt if p in reading]   # every j' > h node reads it
-        if reading:
-            pick = _frozen(np.searchsorted(prev_rows, _halves(reading, h)))
-            half = len(reading) * h
-            chain = (pick, r1 - rb, _frozen(np.concatenate([pick[half:half + r1 - rb], pick[r1 - rb:half]])))
-        levels.append((h, _frozen(_halves(order, h)), (r0, rb, r1, r2), tuple(br), tuple(bl), chain))
-    return leaves[0][0] == n, prev_rows, tuple(levels), spare
+        rows = _spans(order, h)
+        folds = _spans([N + q for _, q in ge] + [q for _, q in lt], h)
+        levels.append((h, _frozen(np.concatenate([rows, rows + h])), (r0, rb, r1, r2), _frozen(folds)))
+    return leaves[0][0] == n, tuple(levels)
 
 
 @lru_cache(maxsize=_PROGRAMS)
@@ -315,7 +295,7 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
         if (t, i) in pruned:
             filled.append((t, i, pruned[t, i]))
             if (t, i) not in on_prior:
-                emit((_LEAF, feedback(t, i), demand(t, i), pruned[t, i], None, None), t, i)
+                emit((_LEAF, feedback(t, i), demand(t, i), pruned[t, i], i << t, None), t, i)
             return
         h, own, fb = 1 << (t - 1), demand(t, i), feedback(t, i)
         a, b = rows(own.start, h), rows(own.start + h, h)
@@ -330,8 +310,10 @@ def _compile(n: int, leaves: tuple = ()) -> tuple:
     return tuple(ops), _fill_plan(n, filled), _frozen(np.array(cost, dtype=np.int32))
 
 
-def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, scratch: np.ndarray) -> None:
-    """One decoding iteration; scratch is an (N/2, frames) block for b + br."""
+def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, scratch: np.ndarray,
+             folds: np.ndarray | None = None) -> None:
+    """One decoding iteration; scratch is an (N/2, frames) block for b + br,
+    folds an (N, frames) fold block for the kernel leaves, or None."""
     buf, arithmetic = mem.buffer, cfg.arithmetic
     f = combiner(arithmetic)
     for op, p, q, r, s, u in ops:
@@ -342,8 +324,8 @@ def _run_ops(ops: tuple, mem: MessageMemory, cfg: ScanConfig, scratch: np.ndarra
         elif op == _FEEDBACK:  # own halves, b, bl, br
             f(buf[s], sat_add(buf[r], buf[u], out=scratch[:q.start - p.start]), out=buf[p])
             sat_add(buf[q], buf[u], out=buf[q])
-        else:                  # kernel leaf: feedback, demand, j
-            buf[p] = stair(buf[q].T, r, arithmetic).T
+        else:                  # kernel leaf: feedback, demand, j, offset
+            stair(buf[q].T, r, arithmetic, buf[p].T, None if folds is None else folds[s:s + q.stop - q.start].T)
 
 
 def finalize(code: PolarCode, mem: MessageMemory, squeeze: bool,
@@ -366,80 +348,66 @@ def _soft_output(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nodes(x: np.ndarray, h: int) -> np.ndarray:
-    """(nodes, frames, h) view of the rows x (nodes h, frames) of size-h nodes."""
-    return x.reshape(-1, h, x.shape[1]).swapaxes(1, 2)
-
-
-def _fill(fill: tuple, leaf: np.ndarray, prev: np.ndarray | None, arithmetic: str) -> None:
-    """Turn the demand of every kernel leaf in leaf (N, frames) into SCAN's
+def _fill(fill: tuple, mem: MessageMemory, folds: np.ndarray, arithmetic: str) -> None:
+    """Turn the demand of every kernel leaf in mem's leaf region into SCAN's
     stage-0 demands inside it, in place, one level sweep per half-size h.
 
-    prev holds the prev_rows of leaf one iteration earlier, None in a
-    one-iteration decode; it is folded down as the levels run. At half-size
-    h, with halves a, b of each size-2h node, a node is Rate0, Rate1 or a
-    stair node with j' of its 2h positions frozen, split as in kernels._level:
+    folds holds the fold block of the last iteration at rows [0, N) and, in
+    a decode of more than one iteration, that of the iteration before at
+    [N, 2N). At half-size h, with halves a, b of each size-2h node, a node
+    is Rate0, Rate1 or a stair node with j' of its 2h positions frozen,
+    split as in kernels._level:
 
     * Rate0: left a + 0.0, right (a + 0.0) + b. In a one-iteration decode the
       left demand above stage 1 is f(a, b): the right sibling has not fed
       back yet.
     * Rate1: left f(a, b), right f(a, 0) + b.
     * stair, j' >= h: the left child is Rate0. Left f(a, b + br), right
-      (a + 0.0) + b, where br is the right child's stair on its previous
-      demand (the previous a + b), 0 in a one-iteration decode or when the
-      right child is Rate1 (j' == h).
+      (a + 0.0) + b, where br is the right child's feedback in the iteration
+      before, the kernel's inner result at this level then, 0 in a
+      one-iteration decode or when the right child is Rate1 (j' == h).
     * stair, j' < h: the right child is Rate1. Left f(a, b), right
-      f(a, bl) + b, where bl is the left child's stair on its new demand.
+      f(a, bl) + b, where bl is the left child's feedback, the kernel's
+      inner result at this level in the last iteration.
 
     a + 0.0 is f(a, +inf) bit for bit (both turn -0.0 into +0.0), and each
     rule runs SCAN's operations on operands equal to SCAN's in value. Those
     that may differ in the sign of a zero reach only f, which ignores it,
     so leaf ends equal to SCAN's stage-0 demands bit for bit.
 
-    Each level makes one gather of its nodes, one f over every left demand
-    but Rate0's, one f over the right demands of the j' < h and Rate1
-    nodes, one stair call per run of equal j', and one scatter. The gather
-    and result blocks are allocated once, at the size of the h = 1 level,
-    which spans every leaf.
+    Each level makes one gather of its nodes and one of their stair
+    children's feedback, one f over every left demand but Rate0's, one f
+    over the right demands of the j' < h and Rate1 nodes, and one scatter.
+    The gathered feedback waits in the rows of the left demands, which are
+    written last. The gather and result blocks, of up to N rows, are the
+    internal-demand and left-feedback regions of mem: after the last
+    iteration nothing reads them again.
     """
     f = combiner(arithmetic)
-    frames = leaf.shape[1]
-    _, _, levels, spare_rows = fill
-    held = np.empty((levels[-1][1].size, frames))
-    new = np.empty_like(held)
-    spare = np.empty((spare_rows, frames))
-    for h, rows, (r0, rb, r1, r2), br, bl, chain in levels:
+    leaf, N = mem.leaf.T, 1 << mem.n   # leaf: (N, frames)
+    held, new = mem.buffer[N:2 * N], mem.buffer[4 * N:5 * N]
+    again = folds.shape[0] > N   # a block of the iteration before follows the last one's
+    _, levels = fill
+    for h, rows, (r0, rb, r1, r2), fold_rows in levels:
         m = rows.size >> 1
         leaf.take(rows, axis=0, out=held[:2 * m], mode="clip")   # "raise" would gather through a temporary
         a, b, left, right = held[:m], held[m:2 * m], new[:m], new[m:2 * m]
-        start = r0 if prev is not None or h == 1 else 0   # the first node whose left demand is an f
+        first = rb if again else r1   # br, then bl
+        if first < r2:
+            folds.take(fold_rows[first - rb:], axis=0, out=left[first:r2], mode="clip")
+        left[r2:] = 0.0   # a Rate1 right child's feedback
+        start = r0 if again or h == 1 else 0   # the first node whose left demand is an f
         np.add(a[:r1], 0.0, out=right[:r1])
         if start:
             left[:start] = right[:start]
         right[:r1] += b[:r1]
-        if prev is not None and chain is not None:
-            pick, ge, child = chain
-            k = pick.size >> 1
-            halves = prev.take(pick, axis=0)
-            pa, pb, folded = halves[:k], halves[k:], np.empty((k, frames))   # folded: the stair children's previous demands,
-            np.add(pa[:ge], pb[:ge], out=folded[:ge])   # a right child's a + b
-            if ge < k:
-                f(pa[ge:], pb[ge:], out=folded[ge:])   # and a left child's f(a, b)
-            prev[child] = folded
-            for jj, lo, hi in br:
-                b_br = _nodes(b[rb + lo:rb + hi], h)
-                b_br += stair(_nodes(folded[lo:hi], h), jj, arithmetic)
+        if again:
+            b[rb:r1] += left[rb:r1]
+        if r1 < m:
+            f(a[r1:], left[r1:], out=right[r1:])
+            right[r1:] += b[r1:]
         if start < m:
             f(a[start:], b[start:], out=left[start:])
-        if r1 < m:
-            bl_or_0 = 0.0
-            if bl:
-                bl_or_0 = spare[:m - r1]
-                for jj, lo, hi in bl:
-                    _nodes(bl_or_0[lo:hi], h)[...] = stair(_nodes(left[r1 + lo:r1 + hi], h), jj, arithmetic)
-                bl_or_0[r2 - r1:] = 0.0
-            f(a[r1:], bl_or_0, out=right[r1:])
-            right[r1:] += b[r1:]
         leaf[rows] = new[:2 * m]
 
 
@@ -447,26 +415,29 @@ def _decode(dec, channel_llrs: np.ndarray, leaf_extrinsic: bool) -> ScanOutput:
     """The decode body of ScanDecoder and FastScanDecoder: fresh messages,
     cfg.iterations runs of dec._ops, then finalize; nothing is kept on dec.
 
-    With leaf_extrinsic set and a dec._fill plan (a pruned tree's), _fill
-    turns every kernel leaf's final demand into its stage-0 demands after the
-    last iteration, reading the plan's prev_rows of the leaf region as they
-    were before the last iteration when there was one before it."""
+    With leaf_extrinsic set and a dec._fill plan (a pruned tree's), each
+    iteration hands the kernel leaves one of the fold blocks in folds, the
+    first block in the last iteration and the second in the one before,
+    and _fill turns every kernel leaf's final demand into its stage-0
+    demands after the last iteration."""
     squeeze = np.asarray(channel_llrs).ndim == 1
     cfg = dec.cfg
     mem = init_messages(dec.code, channel_llrs)
     fill = dec._fill if leaf_extrinsic else None
-    leaf = mem.leaf.T   # (N, frames)
-    if fill and fill[0]:
-        leaf[...] = mem.channel.T   # a pruned root's demand is the channel; the fill works in the leaf region
-    prev = None
-    scratch = np.empty((dec.code.N >> 1, mem.buffer.shape[1]))
+    N, frames = dec.code.N, mem.buffer.shape[1]
+    folds = None
+    if fill:
+        if fill[0]:
+            mem.leaf[...] = mem.channel   # a pruned root's demand is the channel; the fill works in the leaf region
+        folds = np.empty((N << (cfg.iterations > 1), frames))
+    scratch = np.empty((N >> 1, frames))
     for k in range(cfg.iterations):
-        if fill and k and k == cfg.iterations - 1:
-            prev = leaf.take(fill[1], axis=0)   # the prev_rows
-        _run_ops(dec._ops, mem, cfg, scratch)
+        later = cfg.iterations - 1 - k   # iterations after this one
+        _run_ops(dec._ops, mem, cfg, scratch, folds[later % 2 * N:][:N] if fill else None)
     del scratch   # freed before the fill and finalize, whose temporaries set the decode's peak
     if fill:
-        _fill(fill, leaf, prev, cfg.arithmetic)
+        _fill(fill, mem, folds, cfg.arithmetic)
+    del folds
     return finalize(dec.code, mem, squeeze, leaf_extrinsic)
 
 

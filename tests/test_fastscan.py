@@ -181,7 +181,7 @@ def test_program_fills_are_the_kernel_leaves_and_shared(N, K, types):
     dec = FastScanDecoder(code, schedule=build_schedule(code, types))
     leaves = [d for d in dec.schedule.leaves() if d.stage > 0]
     top = max(d.stage for d in leaves)
-    _, _, levels, _ = dec._fill
+    _, levels = dec._fill
     assert [h for h, *_ in levels] == [1 << k for k in range(top - 1, -1, -1)]
     for h, rows, *_ in levels:
         want = [r for d in leaves if d.size >= 2 * h for r in range(d.offset, d.offset + d.size)]
@@ -221,9 +221,9 @@ def test_constant_leaves_read_the_prior(monkeypatch, rng, code, count):
     assert {(op[2].start, op[2].stop) for op in dec._ops if op[0] == scan._LEAF} == demand_rows
     calls = {"rate0_update": 0, "rate1_update": 0}
     for name in calls:
-        def spy(shape, _name=name, _kernel=getattr(kernels, name)):
+        def spy(*args, _name=name, _kernel=getattr(kernels, name)):
             calls[_name] += 1
-            return _kernel(shape)
+            return _kernel(*args)
         monkeypatch.setattr(kernels, name, spy)
     dec.decode(rng.normal(size=(3, N)))
     assert calls == {"rate0_update": 2 * len(rate0_kept), "rate1_update": 0}
@@ -269,11 +269,8 @@ def test_leaf_demands_are_bit_identical_in_exact_arithmetic_at_128(rng, final_me
     _assert_leaf_demands_bit_identical(code, ScanConfig(iterations=iters, arithmetic="exact"), llrs, final_memory)
 
 
-def test_leaf_fill_makes_few_box_plus_calls(monkeypatch, rng):
-    # one f over the left demands and one over the right demands per level,
-    # plus the stair calls; the per-group fill made 58 box-plus calls here
-    code = build_code(128, 64)
-    llrs = rng.normal(1.0, 2.0, size=(16, 128))
+def _box_plus_calls(monkeypatch, dec, llrs):
+    """Exact box-plus calls of one decode."""
     calls = []
     boxplus = arithmetic.boxplus
 
@@ -281,14 +278,57 @@ def test_leaf_fill_makes_few_box_plus_calls(monkeypatch, rng):
         calls.append(None)
         return boxplus(*args, **kwargs)
 
-    monkeypatch.setattr(arithmetic, "boxplus", counting)
-    counts = {}
-    for leaf in (True, False):
-        dec = FastScanDecoder(code, ScanConfig(iterations=2, arithmetic="exact"), leaf_extrinsic=leaf)
-        calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(arithmetic, "boxplus", counting)
         dec.decode(llrs)
-        counts[leaf] = len(calls)
-    assert counts[False] > 0 and counts[True] - counts[False] <= 24
+    return len(calls)
+
+
+def test_leaf_fill_makes_few_box_plus_calls(monkeypatch, rng):
+    # one f over the left demands and one over the right demands per level,
+    # 5 levels; the per-group fill made 58 box-plus calls here, and a fill
+    # that ran the stair children's kernels again 22
+    code = build_code(128, 64)
+    llrs = rng.normal(1.0, 2.0, size=(16, 128))
+    counts = {leaf: _box_plus_calls(monkeypatch, FastScanDecoder(code, ScanConfig(iterations=2, arithmetic="exact"),
+                                                                 leaf_extrinsic=leaf), llrs)
+              for leaf in (True, False)}
+    assert counts[False] > 0 and counts[True] - counts[False] <= 10
+
+
+def test_decode_makes_few_box_plus_calls(monkeypatch, rng):
+    # a whole (128,64) decode, exact, 2 iterations, 16 frames: every kernel
+    # level unfolds in one call, and the fill runs no kernel (154 calls with
+    # leaf extrinsics and 132 without when each level unfolded in two and
+    # the fill ran the stair children's kernels)
+    code = build_code(128, 64)
+    cfg = ScanConfig(iterations=2, arithmetic="exact")
+    llrs = rng.normal(1.0, 2.0, size=(16, 128))
+    assert _box_plus_calls(monkeypatch, FastScanDecoder(code, cfg), llrs) <= 124
+    assert _box_plus_calls(monkeypatch, FastScanDecoder(code, cfg, leaf_extrinsic=False), llrs) <= 114
+
+
+@pytest.mark.parametrize("arithmetic_mode", ["minsum", "exact"])
+def test_leaf_fill_runs_no_kernel(monkeypatch, rng, arithmetic_mode):
+    # the fill reads the stair children's feedback from the fold blocks the
+    # kernel leaves wrote, so it calls no kernel of its own
+    fill, fills, kernel_calls = scan._fill, [], []
+
+    def watched(*args):
+        fills.append(None)
+        with monkeypatch.context() as m:
+            for module in (kernels, scan):
+                m.setattr(module, "stair", lambda *a, **k: kernel_calls.append(a[1]))
+            fill(*args)
+
+    monkeypatch.setattr(scan, "_fill", watched)
+    for N, K in ((128, 64), (1024, 512)):
+        code = build_code(N, K)
+        for types in (DEFAULT_TYPES, KERNEL_TYPES):
+            for iters in (1, 2, 3):
+                dec = FastScanDecoder(code, ScanConfig(iters, arithmetic_mode), build_schedule(code, types))
+                dec.decode(rng.normal(1.0, 2.0, size=(2, N)))
+    assert len(fills) == 12 and kernel_calls == []
 
 
 @pytest.mark.parametrize("N, K, frames, arithmetic_mode, mib", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polarscan import kernels
-from polarscan.arithmetic import DEFAULT_SAT as SAT
+from polarscan.arithmetic import DEFAULT_SAT as SAT, combiner
 from polarscan.kernels import (
     rate0_update,
     rate1_update,
@@ -298,3 +298,68 @@ def test_rep_and_type1_never_read_the_arithmetic(rng):
         kernels_of_size = (rep_update, type1_update) if size >= 4 else (rep_update,)
         for kernel in kernels_of_size:
             assert kernel(lam, "minsum").tobytes() == kernel(lam, "exact").tobytes()
+
+
+PUBLIC_KERNELS = {rep_update: 2, spc_update: 2, spc_update_forced: 2, type1_update: 4,
+                  type2_update: 4, type3_update: 4, type4_update: 8}   # kernel: least size
+
+
+def _public_calls(lam, arithmetic):
+    """(function, positional arguments before out) of every public kernel
+    and every stair pattern of lam's size."""
+    s = lam.shape[-1]
+    calls = [(rate0_update, (lam.shape,)), (rate1_update, (lam.shape,))]
+    calls += [(kernel, (lam, arithmetic)) for kernel, least in PUBLIC_KERNELS.items() if s >= least]
+    for j in range(s + 1):
+        if classify(np.arange(s) < j, KERNEL_TYPES) is not NodeType.INTERNAL:
+            calls.append((stair, (lam, j, arithmetic)))
+    return calls
+
+
+@pytest.mark.parametrize("arithmetic", ["minsum", "exact"])
+def test_kernels_write_into_out(rng, arithmetic):
+    # out, passed positionally after the arithmetic, receives the bits of
+    # the fresh-array call and is returned, in C order and as the executor's
+    # frames-last (s, frames) rows; an element left unwritten keeps its NaN
+    pool = np.array([0.0, -0.0, SAT, -SAT, np.inf, 1.5, -1.5, 1e-300])
+    frames = 5
+    for s in (2, 4, 8, 16, 32):
+        block = rng.normal(0.0, 3.0, (frames, s))
+        pick = rng.random(block.shape) < 0.4
+        block[pick] = rng.choice(pool, int(pick.sum()))
+        for lam in (block, np.ascontiguousarray(block.T).T):
+            for fn, args in _public_calls(lam, arithmetic):
+                want = fn(*args)
+                for out in (np.empty((frames, s)), np.empty((s, frames)).T):
+                    out.fill(np.nan)
+                    assert fn(*args, out) is out
+                    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64), err_msg=f"{fn.__name__}{args[1:]}")
+
+
+@pytest.mark.parametrize("arithmetic", ["minsum", "exact"])
+def test_folds_hold_each_levels_stair_child_feedback(rng, arithmetic):
+    # folds[..., h:2h] is the feedback of the level's stair child: the stair
+    # of its folded half, lo + hi when j > h and f(lo, hi) when j < h. The
+    # kernel's result equals the call without folds in value; only min-sum
+    # SPC, which folds here instead of taking its direct form, can differ
+    # in the sign of a zero.
+    f = combiner(arithmetic)
+    for s in (4, 8, 16, 32):
+        lam = rng.normal(0.0, 3.0, (6, s))
+        lam[0, :2] = [0.0, -0.0]
+        for j in range(1, s):
+            if classify(np.arange(s) < j, KERNEL_TYPES) is NodeType.INTERNAL:
+                continue
+            folds = np.full((s, 6), np.nan).T
+            got = stair(lam, j, arithmetic, None, folds)
+            want = stair(lam, j, arithmetic)
+            if arithmetic == "minsum" and j == 1:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            demand, h, jj = lam, s // 2, j
+            while jj != h:
+                lo, hi = demand[..., :h], demand[..., h:]
+                demand, jj = (lo + hi, jj - h) if jj > h else (f(lo, hi), jj)
+                np.testing.assert_array_equal(folds[..., h:2 * h], stair(demand, jj, arithmetic))
+                h //= 2
